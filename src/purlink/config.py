@@ -14,7 +14,7 @@ from typing import Optional, Union
 
 from .channels import NoiseParams, OpticalHardware
 from .linkmodel import LinkConfig
-from .protocols import PROTOCOL_NAMES, CircuitScheme, ProtocolKind, Pumping, Scheme
+from .protocols import PROTOCOL_NAMES, CircuitScheme, Pumping, Scheme
 from .purify import load_circuit
 
 SWEEPABLE = ("f0", "t2_s", "mu_hz", "d_km", "n_steps")
@@ -37,12 +37,6 @@ class Config:
     ci_target: float
     max_trials: Optional[int]
     axes: tuple[tuple[str, tuple[float, ...]], ...]
-
-    def protocol_kinds(self) -> tuple[ProtocolKind, ...]:
-        return tuple(
-            ProtocolKind(name, measure_before_confirm=self.measure_before_confirm)
-            for name in self.protocols
-        )
 
 
 def _parse_float(key: str, raw: str) -> float:

@@ -16,6 +16,21 @@ the fact (they cost time but deliver nothing).
 A trial simulates from empty memories to one accepted pair. Storage
 decoherence is applied to every stored qubit for every interval between the
 events that touch it.
+
+Raw delivery (_nop_trial) and the blind OPT pipeline (_opt_blind_trial)
+have engines of their own. Every other trial runs in _timed_trial, which
+executes a purification circuit; Pumping(n) is compiled into a circuit of n
+fused steps. The engine keeps two timing rules, one per instruction form:
+
+  DSL instructions (ROT, GATE, MEASURE) dispatch eagerly: each fires as
+  soon as its operands are usable and the local timeline is free, so a
+  rotation acts when its pair becomes usable.
+  A pumping step applies rotations, CNOTs and measurement at the measure
+  instant, through the precomputed branch maps of _Kernel.step.
+
+Rotations do not commute with dephasing, so under memory noise Pumping(1)
+and dejmps.circuit are not interchangeable: on identical clocks their
+delivered state entries differ by up to 4.7e-4 at t2 = 1 s.
 """
 
 from __future__ import annotations
@@ -23,6 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from heapq import heappop, heappush
 from typing import Optional, Union
 
 import numpy as np
@@ -34,10 +50,8 @@ from .channels import (
     PairRegister,
     TWO_QUBIT_GATES,
     decohere,
-    depolarize_gate,
     extract_pair,
     join,
-    noisy_measure,
     register_from_pair,
 )
 from .linkmodel import LinkConfig, attempt_success_prob, link_delays, per_photon_survival
@@ -49,6 +63,7 @@ from .purify import (
     ROT_ALICE,
     ROT_BOB,
     _bilateral_gate,
+    _measure_pair,
     _rotate_pair,
 )
 from .states import TwoQubitState, embed_single, embed_two, insert_mixed, make_werner, trace_out
@@ -242,12 +257,11 @@ def _kernel(link: LinkConfig, noise: NoiseParams) -> _Kernel:
 
 
 class _Trace:
-    __slots__ = ("events", "audit", "herald_delay", "episode", "live", "_open")
+    __slots__ = ("events", "audit", "episode", "live", "_open")
 
-    def __init__(self, events, audit, herald_delay: float):
+    def __init__(self, events, audit):
         self.events = events
         self.audit = audit
-        self.herald_delay = herald_delay
         self.episode = 0
         self.live = events is not None
         self._open: dict[int, list[float]] = {}
@@ -283,11 +297,6 @@ class _Trace:
     def teardown(self) -> None:
         self.episode += 1
         self._open.clear()
-
-
-@dataclass
-class _Restart:
-    ref: float  # emissions at or after this moment are usable
 
 
 # ---------------------------------------------------------------------------
@@ -430,256 +439,234 @@ def _opt_blind_trial(kernel: _Kernel, n_steps: int, rng, trace: _Trace) -> Trial
         trace.teardown()
 
 
-def _pumping_episode(
-    kernel: _Kernel, kind: ProtocolKind, n_steps: int, rng, restart_ref: float, trace: _Trace
-):
-    """One attempt at a full delivery. Returns TrialResult or _Restart.
+# ---------------------------------------------------------------------------
+# The timed circuit engine.
 
-    The returned TrialResult leaves pairs_consumed/restarts at the episode
-    level; the caller accumulates across episodes.
+
+@dataclass(frozen=True, eq=False)  # identity hash keeps _compile lookups cheap
+class _Step:
+    """One fused pumping step: sacrifice `pair` to purify `main`.
+
+    Rotations, bilateral CNOT and Z-coincidence check all act at the measure
+    instant, through _Kernel.step. Only Pumping compiles to this instruction.
     """
+
+    main: int
+    pair: int
+
+
+@lru_cache(maxsize=None)
+def _pumping_circuit(n_steps: int) -> PurificationCircuit:
+    steps = tuple(_Step(0, s) for s in range(1, n_steps + 1))
+    return PurificationCircuit(n_steps + 1, steps, 0, 2 if n_steps else 1)
+
+
+_ROT, _GATE, _MEASURE, _STEP, _DELIVER = range(5)
+_ROT2 = np.kron(ROT_ALICE, ROT_BOB)
+_ROT2_H = _ROT2.conj().T
+
+
+@lru_cache(maxsize=32)
+def _compile(circ: PurificationCircuit) -> tuple:
+    """Flatten a circuit to (code, operands, fresh, arg) entries.
+
+    fresh lists the pairs first referenced by the entry, which are acquired
+    in that order before it runs. A final _DELIVER entry acquires the
+    survivor if no instruction touched it.
+    """
+    program = []
+    seen: set[int] = set()
+    for instr in circ.instructions:
+        if isinstance(instr, Rot):
+            code, operands, arg = _ROT, (instr.pair,), None
+        elif isinstance(instr, Gate):
+            code, operands = _GATE, (instr.control_pair, instr.target_pair)
+            arg = TWO_QUBIT_GATES[instr.kind]
+        elif isinstance(instr, Measure):
+            code, operands, arg = _MEASURE, (instr.pair,), instr
+        else:
+            code, operands, arg = _STEP, (instr.main, instr.pair), None
+        fresh = tuple(p for p in operands if p not in seen)
+        seen.update(fresh)
+        program.append((code, operands, fresh, arg))
+    fresh = () if circ.survivor in seen else (circ.survivor,)
+    program.append((_DELIVER, (), fresh, None))
+    return tuple(program)
+
+
+def _timed_trial(
+    kernel: _Kernel, kind: ProtocolKind, circ: PurificationCircuit, rng, trace: _Trace
+) -> TrialResult:
+    """Run circuit episodes from empty memories until one delivers.
+
+    Each pair is held as a lone 4x4 state until a GATE joins it into the
+    dense register; a MEASURE that leaves one pair in the register returns
+    it to lone form. Pairs take memory slots in arrival order; a slot frees
+    at the measurement of the pair holding it, and under BASE a new pair is
+    also held back until every earlier outcome is checked. A lost photon
+    (OPT), a mismatch (without measure_before_confirm) or a filtered
+    delivery (with it) restarts the episode from the moment it is known.
+    """
+    program = _compile(circ)
+    survivor = circ.survivor
+    n_pairs = circ.num_pairs
+    n_slots = circ.max_live
+    heralded = kind.name != "OPT"  # BASE and HOPT use a pair once heralded
+    base = kind.name == "BASE"
     mbc = kind.measure_before_confirm
-    heralded = kind.name != "OPT"
-    confirmed = kind.name in ("BASE", "HOPT")  # pairs heralded before use
     herald = kernel.herald_delay
+    lag = herald if heralded else 0.0
     gate_time = kernel.link.gate_time
     measure_time = kernel.link.measure_time
+    noise = kernel.noise
+    werner = kernel.werner
+    decohere_pair = kernel.decohere_pair
+    live = trace.live
+    audit = trace.audit is not None
+    pairs = restarts = 0
+    ref = 0.0
+    while True:
+        usable = [0.0] * n_pairs  # local time from which each pair may be used
+        touched = [0.0] * n_pairs  # time each pair is decohered up to
+        lone: list = [None] * n_pairs  # pairs held outside the register
+        reg: Optional[PairRegister] = None
+        slot_free = [0.0] * n_slots  # min-heap of slot release times
+        k_last = kernel.tick_from_emission(ref) - 1
+        last_arrival = 0.0
+        check_floor = 0.0  # when every outcome so far has been checked
+        mismatch_resolve = math.inf
+        t_local = 0.0
+        steps = 0
+        restart = None
+        for code, operands, fresh, arg in program:
+            for p in fresh:
+                floor = heappop(slot_free)
+                if base and check_floor > floor:
+                    floor = check_floor
+                ok, k_last, a = _acquire(kernel, rng, k_last + 1, floor, heralded, trace)
+                if not ok:
+                    restart = a + herald
+                    break
+                pairs += 1
+                last_arrival = touched[p] = a
+                usable[p] = a + lag
+                lone[p] = werner
+                if audit:
+                    trace.born(p, a)
+                if live:
+                    trace.event(a, "AB", "pair_stored", f"pair={p}")
+                    trace.message(a, "A", Message(a, a + herald, "herald_ok"))
+            if restart is not None or code == _DELIVER:
+                break
 
-    pairs = 0
-    ok, k_last, a_main = _acquire(
-        kernel, rng, kernel.tick_from_emission(restart_ref), 0.0, heralded, trace
-    )
-    if not ok:
-        return _Restart(a_main + herald), pairs
-    pairs += 1
-    if trace.live:
-        trace.event(a_main, "AB", "pair_stored", "pair=0")
-        trace.message(a_main, "A", Message(a_main, a_main + herald, "herald_ok"))
-    trace.born(0, a_main)
+            tau = t_local
+            for p in operands:
+                if usable[p] > tau:
+                    tau = usable[p]
+            if tau >= mismatch_resolve:
+                restart = mismatch_resolve  # the failure message crossed first
+                break
 
-    main = kernel.werner
-    last_touch = a_main
-    t_local = a_main + (herald if confirmed else 0.0)
+            if code == _STEP:
+                tau_end = tau + gate_time + measure_time
+            elif code == _GATE:
+                tau_end = tau + gate_time
+            elif code == _MEASURE:
+                tau_end = tau + measure_time
+            else:
+                tau_end = tau
+            for p in operands:
+                dt = tau_end - touched[p]
+                if dt > 0.0:
+                    if lone[p] is not None:
+                        lone[p] = decohere_pair(lone[p], dt)
+                    else:
+                        qubits = (reg.qubit_index(p, "A"), reg.qubit_index(p, "B"))
+                        reg = decohere(reg, qubits, dt, noise)
+                    if audit:
+                        trace.decohered(p, dt)
+                touched[p] = tau_end
+            t_local = tau_end
+            # from here p is the last operand: the rotated or measured pair
 
-    if n_steps == 0:
-        completion = a_main if mbc else a_main + herald
-        state = kernel.decohere_pair(main, completion - last_touch)
-        trace.decohered(0, completion - last_touch)
-        trace.closed(0, completion)
-        trace.event(completion, "AB", "delivered", "pair=0")
-        return TrialResult(True, completion, state, pairs, 0, 0), pairs
-
-    mismatch_resolve = math.inf
-    tau_end = t_local
-    for step in range(1, n_steps + 1):
-        if kind.name == "BASE":
-            floor = 0.0 if step == 1 else tau_end + herald
-        else:  # HOPT and OPT free the slot at the measurement itself
-            floor = 0.0 if step == 1 else tau_end
-        ok, k_last, a_sac = _acquire(kernel, rng, k_last + 1, floor, heralded, trace)
-        if not ok:
-            trace.teardown()
-            return _Restart(a_sac + herald), pairs
-        pairs += 1
-        if trace.live:
-            trace.event(a_sac, "AB", "pair_stored", f"pair={step}")
-            trace.message(a_sac, "A", Message(a_sac, a_sac + herald, "herald_ok"))
-        trace.born(step, a_sac)
-
-        tau = max(t_local, a_sac + (herald if confirmed else 0.0))
-        if tau >= mismatch_resolve:
-            # The failure message crossed before this step could fire.
-            trace.teardown()
-            return _Restart(mismatch_resolve), pairs
-        # Accumulate the two stage times separately so the timed circuit
-        # interpreter, which dispatches them as distinct instructions,
-        # lands on the bit-identical end time.
-        tau_end = tau + gate_time + measure_time
-        main = kernel.decohere_pair(main, tau_end - last_touch)
-        trace.decohered(0, tau_end - last_touch)
-        sac = kernel.decohere_pair(kernel.werner, tau_end - a_sac)
-        trace.decohered(step, tau_end - a_sac)
-        out_a, out_b, post = kernel.step(main, sac, rng)
-        if trace.live:
-            trace.event(tau_end, "AB", "purify_step", f"step={step} a={out_a:+d} b={out_b:+d}")
-            trace.message(tau_end, "A", Message(tau_end, tau_end + herald, "purify_outcome", step, out_a))
-        trace.closed(step, tau_end)
-        if out_a != out_b:
-            if not mbc:
-                trace.teardown()
-                return _Restart(tau_end + herald), pairs
-            mismatch_resolve = min(mismatch_resolve, tau_end + herald)
-        main = post
-        last_touch = tau_end
-        t_local = tau_end
-
-    if mbc:
-        completion = tau_end
-        if mismatch_resolve < math.inf:
-            # Delivered blind and filtered once the messages arrive; the
-            # round costs time but produces nothing.
-            trace.event(completion, "AB", "filtered")
-            trace.teardown()
-            return _Restart(completion), pairs
-    else:
-        completion = tau_end + herald
-        if trace.live:
-            trace.message(tau_end, "A", Message(tau_end, completion, "final_confirm"))
-    state = kernel.decohere_pair(main, completion - last_touch)
-    trace.decohered(0, completion - last_touch)
-    trace.closed(0, completion)
-    trace.event(completion, "AB", "delivered", "pair=0")
-    return TrialResult(True, completion, state, pairs, n_steps, 0), pairs
-
-
-def _circuit_episode(
-    kernel: _Kernel,
-    kind: ProtocolKind,
-    circ: PurificationCircuit,
-    rng,
-    restart_ref: float,
-    trace: _Trace,
-):
-    """Timed execution of a DSL circuit. Mirrors the pumping rules.
-
-    Instructions dispatch eagerly: each fires as soon as its operands are
-    locally usable and the local timeline is free.
-    """
-    mbc = kind.measure_before_confirm
-    heralded = kind.name != "OPT"
-    confirmed = kind.name in ("BASE", "HOPT")
-    herald = kernel.herald_delay
-
-    reg: Optional[PairRegister] = None
-    usable: dict[int, float] = {}
-    arrivals: dict[int, float] = {}
-    last_touch: dict[int, float] = {}
-    slot_free = [0.0] * circ.max_live
-    check_floor = 0.0  # BASE: all outcomes so far must be checked
-    k_last = 0
-    t_local = 0.0
-    pairs = 0
-    steps = 0
-    mismatch_resolve = math.inf
-    measure_ends: list[float] = []
-
-    def restart(ref: float):
-        trace.teardown()
-        return _Restart(ref), pairs
-
-    def take_pair(p: int) -> Optional[float]:
-        """Acquire pair p; returns the restart reference on loss, else None."""
-        nonlocal reg, pairs, k_last
-        slot_free.sort()
-        floor = max(slot_free.pop(0), check_floor if kind.name == "BASE" else 0.0)
-        if pairs == 0:
-            k_min = kernel.tick_from_emission(restart_ref)
-        else:
-            k_min = k_last + 1
-        ok, k_last, a_p = _acquire(kernel, rng, k_min, floor, heralded, trace)
-        if not ok:
-            return a_p + herald
-        pairs += 1
-        trace.event(a_p, "AB", "pair_stored", f"pair={p}")
-        trace.message(a_p, "A", Message(a_p, a_p + herald, "herald_ok"))
-        trace.born(p, a_p)
-        arrivals[p] = a_p
-        last_touch[p] = a_p
-        usable[p] = a_p + (herald if confirmed else 0.0)
-        fresh = register_from_pair(kernel.werner, p)
-        reg = fresh if reg is None else join(reg, fresh)
-        return None
-
-    for instr in circ.instructions:
-        operands = (
-            (instr.pair,)
-            if isinstance(instr, (Rot, Measure))
-            else (instr.control_pair, instr.target_pair)
-        )
-        for p in operands:
-            if p in usable:
+            if code == _STEP:
+                m = operands[0]
+                out_a, out_b, lone[m] = kernel.step(lone[m], lone[p], rng)
+                kept = out_a == out_b
+                if live:
+                    trace.event(tau_end, "AB", "purify_step", f"step={steps + 1} a={out_a:+d} b={out_b:+d}")
+            elif code == _MEASURE:
+                if lone[p] is None:
+                    out_a, out_b, reg, _ = _measure_pair(reg, p, arg.basis, noise.p_m, rng)
+                    if reg.n_qubits == 2:  # one pair left: back to lone form
+                        q = reg.qubits[0][0]
+                        lone[q] = extract_pair(reg, q)
+                        reg = None
+                else:
+                    out_a, out_b, _, _ = _measure_pair(
+                        register_from_pair(lone[p], p), p, arg.basis, noise.p_m, rng
+                    )
+                kept = (out_a == out_b) == arg.keep_equal
+                if live:
+                    trace.event(tau_end, "AB", "measure", f"pair={p} a={out_a:+d} b={out_b:+d}")
+            else:
+                if code == _ROT:
+                    if lone[p] is not None:
+                        lone[p] = _ROT2 @ lone[p] @ _ROT2_H
+                    else:
+                        reg = _rotate_pair(reg, p)
+                else:  # GATE: both operands join the register
+                    for q in operands:
+                        if lone[q] is not None:
+                            joined = register_from_pair(lone[q], q)
+                            reg = joined if reg is None else join(reg, joined)
+                            lone[q] = None
+                    reg = _bilateral_gate(reg, arg, operands[0], operands[1], noise.p_g)
                 continue
-            lost = take_pair(p)
-            if lost is not None:
-                return restart(lost)
-
-        tau = max(t_local, *(usable[p] for p in operands))
-        if tau >= mismatch_resolve:
-            return restart(mismatch_resolve)
-        dur = 0.0
-        if isinstance(instr, Gate):
-            dur = kernel.link.gate_time
-        elif isinstance(instr, Measure):
-            dur = kernel.link.measure_time
-        tau_end = tau + dur
-        assert reg is not None
-        for p in operands:
-            dt = tau_end - last_touch[p]
-            if dt > 0.0:
-                qubits = (reg.qubit_index(p, "A"), reg.qubit_index(p, "B"))
-                reg = decohere(reg, qubits, dt, kernel.noise)
-                trace.decohered(p, dt)
-            last_touch[p] = tau_end
-
-        if isinstance(instr, Rot):
-            reg = _rotate_pair(reg, instr.pair)
-        elif isinstance(instr, Gate):
-            reg = _bilateral_gate(
-                reg, TWO_QUBIT_GATES[instr.kind], instr.control_pair, instr.target_pair, kernel.noise.p_g
-            )
-        else:
-            out_a, reg, _ = noisy_measure(
-                reg, reg.qubit_index(instr.pair, "A"), instr.basis, kernel.noise.p_m, rng.random()
-            )
-            out_b, reg, _ = noisy_measure(
-                reg, reg.qubit_index(instr.pair, "B"), instr.basis, kernel.noise.p_m, rng.random()
-            )
+            # p was measured
+            lone[p] = None
             steps += 1
-            slot_free.append(tau_end)
-            measure_ends.append(tau_end)
-            check_floor = max(check_floor, tau_end + herald)
-            trace.event(tau_end, "AB", "measure", f"pair={instr.pair} a={out_a:+d} b={out_b:+d}")
-            trace.message(
-                tau_end, "A", Message(tau_end, tau_end + herald, "purify_outcome", steps, out_a)
-            )
-            trace.closed(instr.pair, tau_end)
-            usable.pop(instr.pair)
-            kept = (out_a == out_b) == instr.keep_equal
+            heappush(slot_free, tau_end)
+            check_floor = tau_end + herald
+            if audit:
+                trace.closed(p, tau_end)
+            if live:
+                trace.message(tau_end, "A", Message(tau_end, check_floor, "purify_outcome", steps, out_a))
             if not kept:
                 if not mbc:
-                    return restart(tau_end + herald)
-                mismatch_resolve = min(mismatch_resolve, tau_end + herald)
-        t_local = tau_end
+                    restart = check_floor
+                    break
+                mismatch_resolve = min(mismatch_resolve, check_floor)
 
-    if circ.survivor not in arrivals:  # circuit never touched the kept pair
-        lost = take_pair(circ.survivor)
-        if lost is not None:
-            return restart(lost)
-        t_local = max(t_local, arrivals[circ.survivor])
-
-    if mbc:
-        completion = t_local
-        if mismatch_resolve < math.inf:
-            trace.event(completion, "AB", "filtered")
-            return restart(completion)
-    else:
-        completion = max(
-            t_local,
-            max(a + herald for a in arrivals.values()),
-            max((m + herald for m in measure_ends), default=0.0),
-        )
-        trace.message(t_local, "A", Message(t_local, t_local + herald, "final_confirm"))
-    assert reg is not None
-    surv = circ.survivor
-    dt = completion - last_touch[surv]
-    if dt > 0.0:
-        qubits = (reg.qubit_index(surv, "A"), reg.qubit_index(surv, "B"))
-        reg = decohere(reg, qubits, dt, kernel.noise)
-        trace.decohered(surv, dt)
-    trace.closed(surv, completion)
-    trace.event(completion, "AB", "delivered", f"pair={surv}")
-    state = extract_pair(reg, surv)
-    return TrialResult(True, completion, state, pairs, steps, 0), pairs
+        if restart is None:
+            # an untouched survivor is usable on arrival; every other pair
+            # arrived before the instruction that first touched it
+            t_local = max(t_local, last_arrival)
+            if mbc:
+                completion = t_local
+                if mismatch_resolve < math.inf:
+                    # Delivered blind and filtered once the messages arrive;
+                    # the round costs time but produces nothing.
+                    restart = completion
+                    if live:
+                        trace.event(completion, "AB", "filtered")
+            else:
+                completion = max(t_local, last_arrival + herald, check_floor)
+                if live:
+                    trace.message(t_local, "A", Message(t_local, t_local + herald, "final_confirm"))
+            if restart is None:
+                dt = completion - touched[survivor]
+                state = decohere_pair(lone[survivor], dt)
+                if audit:
+                    trace.decohered(survivor, dt)
+                    trace.closed(survivor, completion)
+                if live:
+                    trace.event(completion, "AB", "delivered", f"pair={survivor}")
+                return TrialResult(True, completion, state, pairs, steps, restarts)
+        restarts += 1
+        ref = restart
+        if audit:
+            trace.teardown()
 
 
 def run_trial(
@@ -694,38 +681,20 @@ def run_trial(
 ) -> TrialResult:
     """Simulate one delivery from empty memories to one accepted pair."""
     kernel = _kernel(link, noise)
-    trace = _Trace(events, audit, kernel.herald_delay)
+    trace = _Trace(events, audit)
     if kind.name == "NOP":
         return _nop_trial(kernel, kind, rng, trace)
-    if kind.name == "OPT" and kind.measure_before_confirm and isinstance(scheme, Pumping):
-        # Nothing is awaited and nothing is held back for confirmation, so
-        # rounds pipeline back to back on the shared source clock; a bare
-        # pair is just measured on arrival like raw delivery.
-        if scheme.n_steps == 0:
-            return _nop_trial(kernel, kind, rng, trace)
-        return _opt_blind_trial(kernel, scheme.n_steps, rng, trace)
-
     if isinstance(scheme, Pumping):
-        episode = lambda ref: _pumping_episode(kernel, kind, scheme.n_steps, rng, ref, trace)
+        if kind.name == "OPT" and kind.measure_before_confirm:
+            # Nothing is awaited and nothing is held back for confirmation,
+            # so rounds pipeline back to back on the shared source clock; a
+            # bare pair is just measured on arrival like raw delivery.
+            if scheme.n_steps == 0:
+                return _nop_trial(kernel, kind, rng, trace)
+            return _opt_blind_trial(kernel, scheme.n_steps, rng, trace)
+        circ = _pumping_circuit(scheme.n_steps)
     elif isinstance(scheme, CircuitScheme):
-        episode = lambda ref: _circuit_episode(kernel, kind, scheme.circuit, rng, ref, trace)
+        circ = scheme.circuit
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
-
-    ref = 0.0
-    restarts = 0
-    total_pairs = 0
-    while True:
-        outcome, pairs = episode(ref)
-        total_pairs += pairs
-        if isinstance(outcome, TrialResult):
-            return TrialResult(
-                True,
-                outcome.completion_time,
-                outcome.output_state,
-                total_pairs,
-                outcome.steps_completed,
-                restarts,
-            )
-        restarts += 1
-        ref = outcome.ref
+    return _timed_trial(kernel, kind, circ, rng, trace)

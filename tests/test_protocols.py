@@ -15,8 +15,8 @@ from purlink.protocols import (
     expected_nop_time,
     run_trial,
 )
-from purlink.purify import parse_circuit
-from purlink.states import check_state, fidelity
+from purlink.purify import parse_circuit, run_circuit
+from purlink.states import check_state, fidelity, make_werner
 
 INF = math.inf
 NOISELESS = NoiseParams(p_g=1.0, p_m=1.0, t1=INF, t2=INF)
@@ -33,9 +33,31 @@ def ground(d=20.0, mu=1e6, f0=0.9, **kw):
     return LinkConfig(GROUND, d=d, mu=mu, f0=f0, **kw)
 
 
+def packaged_circuit(name):
+    return parse_circuit((resources.files("purlink") / "circuits" / f"{name}.circuit").read_text())
+
+
 def dejmps_circuit():
-    text = (resources.files("purlink") / "circuits" / "dejmps.circuit").read_text()
-    return parse_circuit(text)
+    return packaged_circuit("dejmps")
+
+
+# pair 0 is gated with both 1 and 2 before either is measured, so three pairs
+# share the register at once
+THREE_PAIR_TEXT = """PAIRS 3
+ROT 0
+ROT 1
+ROT 2
+GATE CNOT 0 1
+GATE CNOT 0 2
+MEASURE 1 BASIS Z KEEP equal
+MEASURE 2 BASIS X KEEP equal
+"""
+
+CIRCUITS = {
+    "dejmps": dejmps_circuit,
+    "optimized5": lambda: packaged_circuit("optimized5"),
+    "three_pair": lambda: parse_circuit(THREE_PAIR_TEXT),
+}
 
 
 # --- scheme and kind validation ---
@@ -145,7 +167,7 @@ def test_paired_dominance_and_state_identity():
 
 
 def test_pumping_one_step_equals_dejmps_circuit():
-    # the DSL interpreter and the pumping engine must land on identical
+    # DSL instructions and fused pumping steps must land on identical
     # timelines when fed the same instructions and seeds; without memory
     # decoherence the states coincide exactly too
     link = ground(gate_time=1e-6, measure_time=5e-7)
@@ -163,8 +185,8 @@ def test_pumping_one_step_equals_dejmps_circuit():
 
 
 def test_pumping_vs_circuit_under_decoherence():
-    # the circuit engine rotates each pair as soon as it is usable while the
-    # pumping engine folds the whole step into the measure instant; rotations
+    # a DSL rotation acts as soon as its pair is usable while a pumping step
+    # folds the whole step into the measure instant; rotations
     # do not commute with dephasing, so states may drift a little, but the
     # clocks and the accounting must still agree exactly
     link = ground(gate_time=1e-6, measure_time=5e-7)
@@ -178,6 +200,33 @@ def test_pumping_vs_circuit_under_decoherence():
             assert a.pairs_consumed == b.pairs_consumed
             assert a.restarts == b.restarts
             assert np.abs(a.output_state - b.output_state).max() < 2e-3
+
+
+@pytest.mark.parametrize("name", sorted(CIRCUITS))
+def test_timed_circuit_matches_dense_oracle(name):
+    # without memory noise or loss the timed engine must reproduce the dense
+    # untimed interpreter draw for draw: on a lossless link acquisition draws
+    # two uniforms per pair, which the oracle's supplier mirrors
+    circ = CIRCUITS[name]()
+    link = ground(alpha_f=0.0)
+    noise = NoiseParams(p_g=0.99, p_m=0.99, t1=INF, t2=INF)
+    werner = make_werner(link.f0)
+    for i in range(60):
+        r = run_trial(HOPT, CircuitScheme(circ), link, noise, np.random.default_rng((91, i)))
+        rng = np.random.default_rng((91, i))
+
+        def supply():
+            rng.random()
+            rng.random()
+            return werner
+
+        oracle = run_circuit(circ, supply, noise, rng)
+        if oracle.success:
+            assert r.restarts == 0
+            assert r.pairs_consumed == circ.num_pairs
+            assert np.abs(r.output_state - oracle.post_state).max() < 1e-12
+        else:
+            assert r.restarts >= 1
 
 
 # --- result invariants ---
@@ -221,11 +270,18 @@ def test_decoherence_audit_covers_every_stored_interval():
             assert abs((end - arrival) - decohered) < 1e-12, (kind, episode, pair)
 
 
-def test_decoherence_audit_circuit_scheme():
+@pytest.mark.parametrize("mbc", [False, True])
+@pytest.mark.parametrize("name", ["BASE", "HOPT", "OPT"])
+@pytest.mark.parametrize("circuit", sorted(CIRCUITS))
+def test_decoherence_audit_circuit_scheme(circuit, name, mbc):
+    # pairs move between lone form and the shared register; every stored
+    # interval must be decohered exactly once either way
     link = ground(gate_time=1e-6, measure_time=5e-7)
+    kind = ProtocolKind(name, measure_before_confirm=mbc)
     audit = {}
-    run_trial(BASE, CircuitScheme(dejmps_circuit()), link, DEFAULT_NOISE,
+    run_trial(kind, CircuitScheme(CIRCUITS[circuit]()), link, DEFAULT_NOISE,
               np.random.default_rng(21), audit=audit)
+    assert audit
     for (_, _), (arrival, decohered, end) in audit.items():
         assert abs((end - arrival) - decohered) < 1e-12
 

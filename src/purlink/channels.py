@@ -134,11 +134,19 @@ def depolarize_gate(
 # ---------------------------------------------------------------------------
 # Measurement
 
-def _basis_projectors(basis: str) -> tuple[np.ndarray, np.ndarray]:
+def measurement_branches(
+    rho: np.ndarray, qubit: int, n_qubits: int, basis: str, p_m: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Unnormalized (+1, -1) branches p_m P_o rho P_o + (1-p_m) P_!o rho P_!o.
+
+    Each trace is the probability of declaring o; the qubit is not traced out.
+    """
     pauli = PAULIS[basis]
-    plus = (np.eye(2, dtype=complex) + pauli) / 2.0
-    minus = (np.eye(2, dtype=complex) - pauli) / 2.0
-    return plus, minus
+    p_plus = embed_single((np.eye(2, dtype=complex) + pauli) / 2.0, qubit, n_qubits)
+    p_minus = embed_single((np.eye(2, dtype=complex) - pauli) / 2.0, qubit, n_qubits)
+    kept_plus = p_plus @ rho @ p_plus
+    kept_minus = p_minus @ rho @ p_minus
+    return p_m * kept_plus + (1.0 - p_m) * kept_minus, p_m * kept_minus + (1.0 - p_m) * kept_plus
 
 
 def noisy_measure(
@@ -154,12 +162,7 @@ def noisy_measure(
     if basis not in ("X", "Y", "Z"):
         raise ValueError(f"measurement basis must be X, Y or Z, got {basis!r}")
     n = reg.n_qubits
-    p_plus_1q, p_minus_1q = _basis_projectors(basis)
-    p_plus = embed_single(p_plus_1q, qubit, n)
-    p_minus = embed_single(p_minus_1q, qubit, n)
-
-    branch_plus = p_m * (p_plus @ reg.rho @ p_plus) + (1.0 - p_m) * (p_minus @ reg.rho @ p_minus)
-    branch_minus = p_m * (p_minus @ reg.rho @ p_minus) + (1.0 - p_m) * (p_plus @ reg.rho @ p_plus)
+    branch_plus, branch_minus = measurement_branches(reg.rho, qubit, n, basis, p_m)
     prob_plus = float(np.real(np.trace(branch_plus)))
     prob_minus = float(np.real(np.trace(branch_minus)))
     total = prob_plus + prob_minus
@@ -227,15 +230,28 @@ def dephase(reg: PairRegister, qubit: int, t: float, t1: float, t2: float) -> Pa
 def decohere(
     reg: PairRegister, qubits: tuple[int, ...] | list[int], dt: float, noise: NoiseParams
 ) -> PairRegister:
-    """Amplitude damping then dephasing for dt on each listed qubit."""
+    """Amplitude damping then dephasing for dt on each listed qubit.
+
+    The one memory channel, in closed form on each qubit's 2x2 blocks: rho_00
+    gains lam * rho_11, then the blocks scale by [[1, c], [c, 1-lam]] with
+    c = sqrt(1-lam) (1-2 p_z). amplitude_damp and dephase are its dense oracle.
+    """
     if dt < 0:
         raise ValueError(f"negative duration {dt}")
     if dt == 0.0:
         return reg
+    lam = _damping_lambda(dt, noise.t1)
+    p_z = _dephasing_pz(dt, noise.t1, noise.t2)
+    c = math.sqrt(1.0 - lam) * (1.0 - 2.0 * p_z)
+    mask = np.array([[1.0, c], [c, 1.0 - lam]]).reshape(1, 2, 1, 2, 1)
+    rho = np.array(reg.rho, dtype=complex)
+    n = reg.n_qubits
     for q in qubits:
-        reg = amplitude_damp(reg, q, dt, noise.t1)
-        reg = dephase(reg, q, dt, noise.t1, noise.t2)
-    return reg
+        lo, hi = 1 << q, 1 << (n - 1 - q)
+        view = rho.reshape(lo, 2, hi * lo, 2, hi)
+        view[:, 0, :, 0, :] += lam * view[:, 1, :, 1, :]
+        view *= mask
+    return PairRegister(rho, reg.qubits)
 
 
 # ---------------------------------------------------------------------------

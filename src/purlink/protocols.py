@@ -50,7 +50,9 @@ from .channels import (
     PairRegister,
     TWO_QUBIT_GATES,
     decohere,
+    depolarize_gate,
     extract_pair,
+    measurement_branches,
     join,
     register_from_pair,
 )
@@ -66,7 +68,7 @@ from .purify import (
     _measure_pair,
     _rotate_pair,
 )
-from .states import TwoQubitState, embed_single, embed_two, insert_mixed, make_werner, trace_out
+from .states import TwoQubitState, make_werner, trace_out
 
 PROTOCOL_NAMES = ("NOP", "BASE", "HOPT", "OPT")
 
@@ -117,7 +119,6 @@ class Message:
 
 @dataclass(frozen=True)
 class TrialResult:
-    delivered: bool
     completion_time: float
     output_state: Optional[TwoQubitState]
     pairs_consumed: int
@@ -140,41 +141,27 @@ def expected_nop_time(link: LinkConfig) -> float:
 # The step pipeline (rotations, two depolarized CNOTs, two noisy Z measures)
 # is linear in the joint 16x16 input, so the four (alice, bob) outcome
 # branches are fixed 16->4 dimensional superoperators. They are built once
-# per (p_g, p_m) by pushing basis matrices through the slow channel ops,
-# which keeps them semantically identical to dejmps_step.
-
-_PROJ_Z = (np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex))
-
+# per (p_g, p_m) by pushing basis matrices through depolarize_gate and the
+# measurement branches of noisy_measure, which keeps them semantically
+# identical to dejmps_step.
 
 @lru_cache(maxsize=16)
 def _step_branch_maps(p_g: float, p_m: float) -> np.ndarray:
     r16 = np.kron(np.kron(ROT_ALICE, ROT_BOB), np.kron(ROT_ALICE, ROT_BOB))
-    cnot_a = embed_two(CNOT, 0, 2, 4)
-    cnot_b = embed_two(CNOT, 1, 3, 4)
-    pp, pm = _PROJ_Z
-
-    def gate(rho: np.ndarray, unitary: np.ndarray, pair: tuple[int, int]) -> np.ndarray:
-        mixed = insert_mixed(trace_out(rho, pair, 4), pair, 4)
-        return p_g * (unitary @ rho @ unitary.conj().T) + (1.0 - p_g) * mixed
-
-    def weighted_branch(rho: np.ndarray, qubit: int, n: int, want_plus: bool) -> np.ndarray:
-        po = embed_single(pp if want_plus else pm, qubit, n)
-        pn = embed_single(pm if want_plus else pp, qubit, n)
-        post = p_m * (po @ rho @ po) + (1.0 - p_m) * (pn @ rho @ pn)
-        return trace_out(post, (qubit,), n)
-
     maps = np.empty((4, 16, 256), dtype=complex)
     for row in range(16):
         for col in range(16):
             basis = np.zeros((16, 16), dtype=complex)
             basis[row, col] = 1.0
-            rho = r16 @ basis @ r16.conj().T
-            rho = gate(rho, cnot_a, (0, 2))
-            rho = gate(rho, cnot_b, (1, 3))
-            for bi, (oa, ob) in enumerate(((1, 1), (1, -1), (-1, 1), (-1, -1))):
-                r8 = weighted_branch(rho, 2, 4, oa == 1)  # Alice's sacrificial qubit
-                r4 = weighted_branch(r8, 2, 3, ob == 1)  # Bob's, now at index 2
-                maps[bi, :, row * 16 + col] = r4.reshape(-1)
+            reg = PairRegister(r16 @ basis @ r16.conj().T, ((0, "A"), (0, "B"), (1, "A"), (1, "B")))
+            reg = depolarize_gate(reg, CNOT, (0, 2), p_g)
+            reg = depolarize_gate(reg, CNOT, (1, 3), p_g)
+            # Alice's sacrificial qubit, then Bob's (now at index 2); the
+            # branch order (+1, +1), (+1, -1), (-1, +1), (-1, -1) is step's
+            for ia, rho_a in enumerate(measurement_branches(reg.rho, 2, 4, "Z", p_m)):
+                r8 = trace_out(rho_a, (2,), 4)
+                for ib, rho_b in enumerate(measurement_branches(r8, 2, 3, "Z", p_m)):
+                    maps[2 * ia + ib, :, row * 16 + col] = trace_out(rho_b, (2,), 3).reshape(-1)
     return maps.reshape(64, 256)
 
 
@@ -182,7 +169,11 @@ _DIAG = np.arange(4)
 
 
 class _Kernel:
-    """Per-configuration machinery shared by all trials of one cell."""
+    """Per-configuration machinery shared by all trials of one cell.
+
+    It keeps no memory-channel state: lone pairs and registers alike
+    decohere through channels.decohere, the one closed-form memory channel.
+    """
 
     def __init__(self, link: LinkConfig, noise: NoiseParams):
         self.link = link
@@ -190,8 +181,8 @@ class _Kernel:
         self.period, self.photon_delay, self.herald_delay = link_delays(link)
         self.p_photon = per_photon_survival(link)
         self.werner = make_werner(link.f0)
+        self.werner.setflags(write=False)  # shared by every trial of the cell
         self._step_maps: Optional[np.ndarray] = None
-        self._deco: dict[float, np.ndarray] = {}
 
     # -- timing helpers ----------------------------------------------------
     def tick_from_emission(self, ref: float) -> int:
@@ -207,20 +198,6 @@ class _Kernel:
         return k * self.period + self.photon_delay
 
     # -- quantum helpers ---------------------------------------------------
-    def decohere_pair(self, rho: TwoQubitState, dt: float) -> TwoQubitState:
-        if dt == 0.0:
-            return rho
-        sup = self._deco.get(dt)
-        if sup is None:
-            sup = np.empty((16, 16), dtype=complex)
-            for idx in range(16):
-                basis = np.zeros((4, 4), dtype=complex)
-                basis[idx // 4, idx % 4] = 1.0
-                reg = PairRegister(basis, ((0, "A"), (0, "B")))
-                sup[:, idx] = decohere(reg, (0, 1), dt, self.noise).rho.reshape(-1)
-            self._deco[dt] = sup
-        return (sup @ rho.reshape(-1)).reshape(4, 4)
-
     def step(
         self, main: TwoQubitState, sac: TwoQubitState, rng
     ) -> tuple[int, int, TwoQubitState]:
@@ -349,12 +326,12 @@ def _nop_trial(kernel: _Kernel, kind: ProtocolKind, rng, trace: _Trace) -> Trial
         state = kernel.werner.copy()
         completion = arrival
     else:
-        state = kernel.decohere_pair(kernel.werner, herald)
+        state = decohere(register_from_pair(kernel.werner, 0), (0, 1), herald, kernel.noise).rho
         trace.decohered(0, herald)
         completion = arrival + herald
     trace.closed(0, completion)
     trace.event(completion, "AB", "delivered", "pair=0")
-    return TrialResult(True, completion, state, 1, 0, 0)
+    return TrialResult(completion, state, 1, 0, 0)
 
 
 def _geometric_gap(rng, eta: float) -> int:
@@ -380,6 +357,7 @@ def _opt_blind_trial(kernel: _Kernel, n_steps: int, rng, trace: _Trace) -> Trial
     """
     link = kernel.link
     eta = kernel.p_photon
+    noise = kernel.noise
     gate_time, measure_time = link.gate_time, link.measure_time
     op_dur = gate_time + measure_time
     period = kernel.period
@@ -418,9 +396,9 @@ def _opt_blind_trial(kernel: _Kernel, n_steps: int, rng, trace: _Trace) -> Trial
             a_sac = kernel.arrival(ticks[step])
             trace.born(step, a_sac)
             tau_end = a_sac + gate_time + measure_time
-            main = kernel.decohere_pair(main, tau_end - last_touch)
+            main = decohere(register_from_pair(main, 0), (0, 1), tau_end - last_touch, noise).rho
             trace.decohered(0, tau_end - last_touch)
-            sac = kernel.decohere_pair(kernel.werner, tau_end - a_sac)
+            sac = decohere(register_from_pair(kernel.werner, 0), (0, 1), tau_end - a_sac, noise).rho
             trace.decohered(step, tau_end - a_sac)
             out_a, out_b, post = kernel.step(main, sac, rng)
             if trace.live:
@@ -433,7 +411,7 @@ def _opt_blind_trial(kernel: _Kernel, n_steps: int, rng, trace: _Trace) -> Trial
         trace.closed(0, tau_end)
         if matched:
             trace.event(tau_end, "AB", "delivered", "pair=0")
-            return TrialResult(True, tau_end, main, pairs, n_steps, rounds - 1)
+            return TrialResult(tau_end, main, pairs, n_steps, rounds - 1)
         if trace.live:
             trace.event(tau_end, "AB", "round_filtered", "cause=outcome")
         trace.teardown()
@@ -520,7 +498,6 @@ def _timed_trial(
     measure_time = kernel.link.measure_time
     noise = kernel.noise
     werner = kernel.werner
-    decohere_pair = kernel.decohere_pair
     live = trace.live
     audit = trace.audit is not None
     pairs = restarts = 0
@@ -579,7 +556,7 @@ def _timed_trial(
                 dt = tau_end - touched[p]
                 if dt > 0.0:
                     if lone[p] is not None:
-                        lone[p] = decohere_pair(lone[p], dt)
+                        lone[p] = decohere(register_from_pair(lone[p], 0), (0, 1), dt, noise).rho
                     else:
                         qubits = (reg.qubit_index(p, "A"), reg.qubit_index(p, "B"))
                         reg = decohere(reg, qubits, dt, noise)
@@ -656,13 +633,13 @@ def _timed_trial(
                     trace.message(t_local, "A", Message(t_local, t_local + herald, "final_confirm"))
             if restart is None:
                 dt = completion - touched[survivor]
-                state = decohere_pair(lone[survivor], dt)
+                state = decohere(register_from_pair(lone[survivor], 0), (0, 1), dt, noise).rho
                 if audit:
                     trace.decohered(survivor, dt)
                     trace.closed(survivor, completion)
                 if live:
                     trace.event(completion, "AB", "delivered", f"pair={survivor}")
-                return TrialResult(True, completion, state, pairs, steps, restarts)
+                return TrialResult(completion, state, pairs, steps, restarts)
         restarts += 1
         ref = restart
         if audit:

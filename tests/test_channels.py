@@ -283,6 +283,32 @@ def test_decohere_werner_dephasing_oracle():
     assert abs(fidelity(out.rho) - want) < 1e-12
 
 
+def _dense_decohere(reg, qubits, dt, noise):
+    for q in qubits:
+        reg = amplitude_damp(reg, q, dt, noise.t1)
+        reg = dephase(reg, q, dt, noise.t1, noise.t2)
+    return reg
+
+
+@pytest.mark.parametrize("n_pairs", (1, 2, 3))
+@pytest.mark.parametrize(
+    "t1, t2", ((1.0, 0.8), (2.0, 4.0), (math.inf, 0.5), (math.inf, math.inf))
+)
+@pytest.mark.parametrize("dt_kind", ("short", "t2", "10_t1"))
+def test_decohere_matches_dense_kraus_oracle(n_pairs, t1, t2, dt_kind):
+    n = 2 * n_pairs
+    noise = NoiseParams(t1=t1, t2=t2)
+    dt = {"short": 1e-6, "t2": t2, "10_t1": 10.0 * t1}[dt_kind]
+    rng = np.random.default_rng((n_pairs, int(t1 < math.inf), int(t2 < math.inf)))
+    labels = tuple((i // 2, "AB"[i % 2]) for i in range(n))
+    reg = PairRegister(random_density(1 << n, rng), labels)
+    # every single qubit, then the two outermost ones (non-adjacent from 2 pairs on)
+    for qubits in [(q,) for q in range(n)] + [(0, n - 1)]:
+        got = decohere(reg, qubits, dt, noise).rho
+        want = _dense_decohere(reg, qubits, dt, noise).rho
+        assert np.abs(got - want).max() < 1e-14
+
+
 def test_decohere_identity_at_zero():
     reg = register_from_pair(make_werner(0.6), 0)
     out = decohere(reg, (0, 1), 0.0, NoiseParams())

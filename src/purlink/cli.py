@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import Estimates, estimate
-from .config import Config, ConfigError, apply_axis, load_config
+from .config import Config, ConfigError, apply_axis, check_trial_budget, load_config
 from .protocols import PROTOCOL_NAMES, ProtocolKind, Pumping, run_trial
 from .purify import CircuitError
 
@@ -86,20 +86,9 @@ def _write_events_log(path: str, cfg: Config, mbc: bool) -> None:
 
 
 def _apply_flags(cfg: Config, args) -> Config:
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    if args.trials_min is not None:
-        if args.trials_min < 100:
-            raise ConfigError("invalid value for 'trials_min': must be at least 100")
-        cfg = replace(cfg, trials_min=args.trials_min)
-    if args.ci_target is not None:
-        if args.ci_target <= 0:
-            raise ConfigError("invalid value for 'ci_target': must be positive")
-        cfg = replace(cfg, ci_target=args.ci_target)
-    if args.max_trials is not None:
-        if args.max_trials < cfg.trials_min:
-            raise ConfigError("invalid value for 'max_trials': must be at least trials_min")
-        cfg = replace(cfg, max_trials=args.max_trials)
+    flags = {k: getattr(args, k) for k in ("seed", "trials_min", "ci_target", "max_trials")}
+    cfg = replace(cfg, **{k: v for k, v in flags.items() if v is not None})
+    check_trial_budget(cfg.trials_min, cfg.ci_target, cfg.max_trials)
     return cfg
 
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Union
 
+from .analysis import SKF_MODES
 from .channels import NoiseParams, OpticalHardware
 from .linkmodel import LinkConfig
 from .protocols import PROTOCOL_NAMES, CircuitScheme, Pumping, Scheme
@@ -74,12 +75,17 @@ def _parse_values(key: str, raw: str, as_int: bool) -> tuple[float, ...]:
     return vals
 
 
-_FLOAT_KEYS = {
-    "d_km", "mu_hz", "f0", "t1_s", "t2_s", "p_g", "p_m",
-    "alpha_db_per_km", "alpha_atm_per_km", "atmosphere_ceiling_km", "h_km",
-    "c_fiber_km_s", "c_vacuum_km_s", "d_s_m", "d_g_m", "wavelength_m",
-    "gate_time_s", "measure_time_s", "ci_target",
+# config key -> dataclass field; a key left out keeps the field's default
+_LINK_FIELDS = {
+    "d_km": "d", "mu_hz": "mu", "f0": "f0", "h_km": "h",
+    "alpha_db_per_km": "alpha_f", "alpha_atm_per_km": "alpha_a",
+    "atmosphere_ceiling_km": "atmosphere_ceiling",
+    "c_fiber_km_s": "c_fiber", "c_vacuum_km_s": "c_vacuum",
+    "gate_time_s": "gate_time", "measure_time_s": "measure_time",
 }
+_HW_FIELDS = {"d_s_m": "d_s", "d_g_m": "d_g", "wavelength_m": "wavelength"}
+_NOISE_FIELDS = {"p_g": "p_g", "p_m": "p_m", "t1_s": "t1", "t2_s": "t2"}
+_FLOAT_KEYS = {*_LINK_FIELDS, *_HW_FIELDS, *_NOISE_FIELDS, "ci_target"}
 _INT_KEYS = {"n_steps", "seed", "trials_min", "max_trials"}
 _BOOL_KEYS = {"measure_before_confirm"}
 _STR_KEYS = {
@@ -117,9 +123,6 @@ def parse_config(text: str, base_dir: Union[str, Path, None] = None) -> Config:
         if key not in raw:
             raise ConfigError(f"missing required key '{key}'")
 
-    def take_float(key: str, default: float) -> float:
-        return _parse_float(key, raw[key]) if key in raw else default
-
     def take_int(key: str, default: int) -> int:
         return _parse_int(key, raw[key]) if key in raw else default
 
@@ -127,33 +130,13 @@ def parse_config(text: str, base_dir: Union[str, Path, None] = None) -> Config:
     if kind not in ("ground", "satellite"):
         raise ConfigError(f"invalid value for 'kind': expected ground or satellite, got {kind!r}")
 
-    hw = OpticalHardware(
-        d_s=take_float("d_s_m", 0.2),
-        d_g=take_float("d_g_m", 2.0),
-        wavelength=take_float("wavelength_m", 737e-9),
-    )
+    def fields(table: dict[str, str]) -> dict[str, float]:
+        return {name: _parse_float(key, raw[key]) for key, name in table.items() if key in raw}
+
     try:
-        link = LinkConfig(
-            kind,
-            d=_parse_float("d_km", raw["d_km"]),
-            mu=_parse_float("mu_hz", raw["mu_hz"]),
-            f0=_parse_float("f0", raw["f0"]),
-            h=take_float("h_km", 400.0),
-            alpha_f=take_float("alpha_db_per_km", 0.2),
-            alpha_a=take_float("alpha_atm_per_km", 0.028125),
-            atmosphere_ceiling=take_float("atmosphere_ceiling_km", 10.0),
-            c_fiber=take_float("c_fiber_km_s", 200000.0),
-            c_vacuum=take_float("c_vacuum_km_s", 299792.458),
-            hw=hw,
-            gate_time=take_float("gate_time_s", 0.0),
-            measure_time=take_float("measure_time_s", 0.0),
-        )
-        noise = NoiseParams(
-            p_g=take_float("p_g", 0.99),
-            p_m=take_float("p_m", 0.99),
-            t1=take_float("t1_s", 360.0),
-            t2=take_float("t2_s", 1.0),
-        )
+        hw = OpticalHardware(**fields(_HW_FIELDS))
+        link = LinkConfig(kind, hw=hw, **fields(_LINK_FIELDS))
+        noise = NoiseParams(**fields(_NOISE_FIELDS))
     except ValueError as exc:
         if isinstance(exc, ConfigError):
             raise
@@ -186,19 +169,32 @@ def parse_config(text: str, base_dir: Union[str, Path, None] = None) -> Config:
     if len(set(protocols)) != len(protocols):
         raise ConfigError("invalid value for 'protocols': duplicate protocol")
 
-    skf_mode = raw.get("skf_mode", "qber")
-    if skf_mode not in ("qber", "raw"):
-        raise ConfigError(f"invalid value for 'skf_mode': expected qber or raw, got {skf_mode!r}")
+    skf_mode = raw.get("skf_mode", SKF_MODES[0])
+    if skf_mode not in SKF_MODES:
+        raise ConfigError(
+            f"invalid value for 'skf_mode': expected {' or '.join(SKF_MODES)}, got {skf_mode!r}"
+        )
 
     trials_min = take_int("trials_min", 10_000)
-    if trials_min < 100:
-        raise ConfigError("invalid value for 'trials_min': must be at least 100")
-    ci_target = take_float("ci_target", 0.03)
-    if ci_target <= 0:
-        raise ConfigError("invalid value for 'ci_target': must be positive")
+    ci_target = _parse_float("ci_target", raw["ci_target"]) if "ci_target" in raw else 0.03
     max_trials = take_int("max_trials", 0) if "max_trials" in raw else None
-    if max_trials is not None and max_trials < trials_min:
-        raise ConfigError("invalid value for 'max_trials': must be at least trials_min")
+    check_trial_budget(trials_min, ci_target, max_trials)
+
+    cfg = Config(
+        link=link,
+        noise=noise,
+        scheme=scheme,
+        protocols=protocols,
+        measure_before_confirm=_parse_bool(
+            "measure_before_confirm", raw.get("measure_before_confirm", "false")
+        ),
+        skf_mode=skf_mode,
+        seed=take_int("seed", 0),
+        trials_min=trials_min,
+        ci_target=ci_target,
+        max_trials=max_trials,
+        axes=(),
+    )
 
     axes: list[tuple[str, tuple[float, ...]]] = []
     for suffix in ("", "2"):
@@ -215,29 +211,26 @@ def parse_config(text: str, base_dir: Union[str, Path, None] = None) -> Config:
             if param == "n_steps" and isinstance(scheme, CircuitScheme):
                 raise ConfigError("cannot sweep 'n_steps' with a circuit scheme")
             values = _parse_values(vkey, raw[vkey], as_int=param == "n_steps")
-            if param == "n_steps":
-                for v in values:
-                    if not 0 <= v <= 5:
-                        raise ConfigError(f"invalid value for '{vkey}': steps must be in [0, 5]")
+            # no axis constrains another, so each value is checked on its own
+            for v in values:
+                try:
+                    apply_axis(cfg, param, v)
+                except ValueError as exc:
+                    raise ConfigError(f"invalid value for '{vkey}': {exc}") from None
             axes.append((param, values))
     if len(axes) == 2 and axes[0][0] == axes[1][0]:
         raise ConfigError("sweep_param and sweep_param2 must differ")
+    return replace(cfg, axes=tuple(axes))
 
-    return Config(
-        link=link,
-        noise=noise,
-        scheme=scheme,
-        protocols=protocols,
-        measure_before_confirm=_parse_bool(
-            "measure_before_confirm", raw.get("measure_before_confirm", "false")
-        ),
-        skf_mode=skf_mode,
-        seed=take_int("seed", 0),
-        trials_min=trials_min,
-        ci_target=ci_target,
-        max_trials=max_trials,
-        axes=tuple(axes),
-    )
+
+def check_trial_budget(trials_min: int, ci_target: float, max_trials: Optional[int]) -> None:
+    """Reject a trial budget the estimator cannot honour, naming the key."""
+    if trials_min < 100:
+        raise ConfigError("invalid value for 'trials_min': must be at least 100")
+    if ci_target <= 0:
+        raise ConfigError("invalid value for 'ci_target': must be positive")
+    if max_trials is not None and max_trials < trials_min:
+        raise ConfigError("invalid value for 'max_trials': must be at least trials_min")
 
 
 def load_config(path: Union[str, Path]) -> Config:

@@ -17,10 +17,12 @@ A trial simulates from empty memories to one accepted pair. Storage
 decoherence is applied to every stored qubit for every interval between the
 events that touch it.
 
-Raw delivery (_nop_trial) and the blind OPT pipeline (_opt_blind_trial)
-have engines of their own. Every other trial runs in _timed_trial, which
-executes a purification circuit; Pumping(n) is compiled into a circuit of n
-fused steps. The engine keeps two timing rules, one per instruction form:
+Every trial except the blind OPT pipeline (_opt_blind_trial) runs in
+_timed_trial, which executes a purification circuit; Pumping(n) is compiled
+into a circuit of n fused steps, and raw delivery (NOP, whatever the scheme)
+is the empty circuit Pumping(0) with no partner slot to hold. Blind OPT keeps
+its own engine because it samples whole fixed-stride rounds instead of
+source ticks. The engine keeps two timing rules, one per instruction form:
 
   DSL instructions (ROT, GATE, MEASURE) dispatch eagerly: each fires as
   soon as its operands are usable and the local timeline is free, so a
@@ -97,7 +99,7 @@ class Pumping:
 
     def __post_init__(self) -> None:
         if not 0 <= self.n_steps <= 5:
-            raise ValueError("pumping supports 0 to 5 steps")
+            raise ValueError("pumping steps must be in [0, 5]")
 
 
 @dataclass(frozen=True)
@@ -280,12 +282,16 @@ class _Trace:
 # Acquisition. Draws two uniforms per tick (Alice's photon, then Bob's).
 
 
-def _acquire(kernel: _Kernel, rng, k_min: int, floor: float, heralded: bool, trace: _Trace):
+def _acquire(
+    kernel: _Kernel, rng, k_min: int, floor: float, hold: Optional[float], trace: _Trace
+):
     """Advance through source ticks until a pair is stored at both nodes.
 
-    Returns (ok, k, arrival). With heralded=True a one-sided loss blocks the
-    survivor's slot until the failure herald crosses, then retries; with
-    heralded=False (OPT) it returns ok=False so the caller can restart.
+    Returns (ok, k, arrival). A one-sided loss keeps the survivor's slot for
+    hold seconds after the lost tick's arrival, then retries: BASE and HOPT
+    hold it until the failure herald crosses; NOP reserves no partner slot
+    (hold = 0.0), so the retry is the next tick. With hold=None (OPT) it
+    returns ok=False so the caller can restart.
     """
     k = max(k_min, kernel.tick_from_arrival(floor))
     while True:
@@ -301,37 +307,9 @@ def _acquire(kernel: _Kernel, rng, k_min: int, floor: float, heralded: bool, tra
             loser = "B" if got_a else "A"
             trace.event(arrival, loser, "photon_lost", f"tick={k}")
             trace.message(arrival, loser, Message(arrival, arrival + kernel.herald_delay, "herald_fail"))
-        if not heralded:
+        if hold is None:
             return False, k, arrival
-        k = max(k + 1, kernel.tick_from_arrival(arrival + kernel.herald_delay))
-
-
-def _nop_trial(kernel: _Kernel, kind: ProtocolKind, rng, trace: _Trace) -> TrialResult:
-    # Raw delivery needs no reserved partner slot, so a one-sided loss never
-    # blocks the next attempt: plain per-tick trials.
-    k = 1
-    while True:
-        got_a = rng.random() < kernel.p_photon
-        got_b = rng.random() < kernel.p_photon
-        if got_a and got_b:
-            break
-        k += 1
-    arrival = kernel.arrival(k)
-    trace.born(0, arrival)
-    herald = kernel.herald_delay
-    if trace.live:
-        trace.event(arrival, "AB", "pair_stored", "pair=0")
-        trace.message(arrival, "A", Message(arrival, arrival + herald, "herald_ok"))
-    if kind.measure_before_confirm:
-        state = kernel.werner.copy()
-        completion = arrival
-    else:
-        state = decohere(register_from_pair(kernel.werner, 0), (0, 1), herald, kernel.noise).rho
-        trace.decohered(0, herald)
-        completion = arrival + herald
-    trace.closed(0, completion)
-    trace.event(completion, "AB", "delivered", "pair=0")
-    return TrialResult(completion, state, 1, 0, 0)
+        k = max(k + 1, kernel.tick_from_arrival(arrival + hold))
 
 
 def _geometric_gap(rng, eta: float) -> int:
@@ -484,16 +462,19 @@ def _timed_trial(
     also held back until every earlier outcome is checked. A lost photon
     (OPT), a mismatch (without measure_before_confirm) or a filtered
     delivery (with it) restarts the episode from the moment it is known.
+    Raw delivery (NOP) runs the empty circuit of Pumping(0).
     """
     program = _compile(circ)
     survivor = circ.survivor
     n_pairs = circ.num_pairs
     n_slots = circ.max_live
-    heralded = kind.name != "OPT"  # BASE and HOPT use a pair once heralded
+    opt = kind.name == "OPT"
     base = kind.name == "BASE"
     mbc = kind.measure_before_confirm
     herald = kernel.herald_delay
-    lag = herald if heralded else 0.0
+    lag = 0.0 if opt else herald  # the others use a pair once heralded
+    # how long a one-sided loss keeps the survivor's slot (see _acquire)
+    hold = None if opt else 0.0 if kind.name == "NOP" else herald
     gate_time = kernel.link.gate_time
     measure_time = kernel.link.measure_time
     noise = kernel.noise
@@ -520,7 +501,7 @@ def _timed_trial(
                 floor = heappop(slot_free)
                 if base and check_floor > floor:
                     floor = check_floor
-                ok, k_last, a = _acquire(kernel, rng, k_last + 1, floor, heralded, trace)
+                ok, k_last, a = _acquire(kernel, rng, k_last + 1, floor, hold, trace)
                 if not ok:
                     restart = a + herald
                     break
@@ -659,16 +640,16 @@ def run_trial(
     """Simulate one delivery from empty memories to one accepted pair."""
     kernel = _kernel(link, noise)
     trace = _Trace(events, audit)
-    if kind.name == "NOP":
-        return _nop_trial(kernel, kind, rng, trace)
-    if isinstance(scheme, Pumping):
-        if kind.name == "OPT" and kind.measure_before_confirm:
-            # Nothing is awaited and nothing is held back for confirmation,
-            # so rounds pipeline back to back on the shared source clock; a
-            # bare pair is just measured on arrival like raw delivery.
-            if scheme.n_steps == 0:
-                return _nop_trial(kernel, kind, rng, trace)
+    if isinstance(scheme, Pumping) and kind.name == "OPT" and kind.measure_before_confirm:
+        # Nothing is awaited and nothing is held back for confirmation, so
+        # rounds pipeline back to back on the shared source clock; a bare
+        # pair is just measured on arrival like raw delivery.
+        if scheme.n_steps:
             return _opt_blind_trial(kernel, scheme.n_steps, rng, trace)
+        kind = ProtocolKind("NOP", measure_before_confirm=True)
+    if kind.name == "NOP":
+        circ = _pumping_circuit(0)  # raw delivery ignores the scheme
+    elif isinstance(scheme, Pumping):
         circ = _pumping_circuit(scheme.n_steps)
     elif isinstance(scheme, CircuitScheme):
         circ = scheme.circuit

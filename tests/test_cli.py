@@ -172,6 +172,27 @@ def test_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "axes,key",
+    [
+        ("sweep_param = f0\nsweep_values = 0.2, 0.9\n", "sweep_values"),
+        ("sweep_param = d_km\nsweep_values = 10, -5\n", "sweep_values"),
+        ("t1_s = 1.0\nsweep_param = t2_s\nsweep_values = 1.0, 3.0\n", "sweep_values"),
+        (
+            "sweep_param = f0\nsweep_values = 0.8, 0.9\n"
+            "sweep_param2 = mu_hz\nsweep_values2 = 1e6, 0\n",
+            "sweep_values2",
+        ),
+    ],
+    ids=["f0", "d_km", "t2_above_2t1", "mu_hz_second_axis"],
+)
+def test_out_of_domain_sweep_values_are_config_errors(tmp_path, capsys, axes, key):
+    path = cfg_file(tmp_path, FAST + "protocols = NOP\nn_steps = 0\n" + axes)
+    assert main(["sweep", path, str(tmp_path / "out.csv")]) == 2
+    assert f"invalid value for '{key}'" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_simulate_rejects_sweep_axes(tmp_path, capsys):
     path = cfg_file(tmp_path, FAST + "sweep_param = f0\nsweep_values = 0.8, 0.9\n")
     assert main(["simulate", path]) == 2
@@ -203,6 +224,8 @@ def test_flag_overrides_validate(tmp_path, capsys):
     assert main(["simulate", path, "--trials-min", "50"]) == 2
     assert main(["simulate", path, "--ci-target", "-1"]) == 2
     assert main(["simulate", path, "--max-trials", "50"]) == 2
+    # the config's max_trials = 100 no longer covers the raised minimum
+    assert main(["simulate", path, "--trials-min", "200"]) == 2
     capsys.readouterr()
 
 

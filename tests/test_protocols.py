@@ -113,10 +113,38 @@ def test_nop_lossless_exact():
 
 def test_nop_ignores_scheme():
     link = ground(mu=1e3, alpha_f=0.0)
-    a = run_trial(NOP, Pumping(4), link, NOISELESS, np.random.default_rng(1))
     b = run_trial(NOP, Pumping(0), link, NOISELESS, np.random.default_rng(1))
-    assert a.completion_time == b.completion_time
-    assert a.steps_completed == 0
+    for scheme in (Pumping(4), CircuitScheme(dejmps_circuit())):
+        a = run_trial(NOP, scheme, link, NOISELESS, np.random.default_rng(1))
+        assert a.completion_time == b.completion_time
+        assert a.steps_completed == 0
+        assert a.pairs_consumed == 1
+        assert np.array_equal(a.output_state, b.output_state)
+
+
+class QueuedU:
+    """Stands in for an rng, returning preset uniforms in order."""
+
+    def __init__(self, *vals):
+        self._vals = list(vals)
+
+    def random(self):
+        return self._vals.pop(0)
+
+
+def test_one_sided_loss_holds_slot_only_for_heralded_purification():
+    # tick 1 loses Bob's photon, tick 2 keeps both; the herald (100 us) spans
+    # ten source periods, so only a protocol that holds the survivor's slot
+    # for the failure herald skips tick 2
+    link = ground(mu=1e5)  # period 10 us, photon 50 us, herald 100 us
+    lost_then_kept = (0.0, 1.0 - 1e-12, 0.0, 0.0)
+    nop = run_trial(NOP, Pumping(0), link, NOISELESS, QueuedU(*lost_then_kept))
+    assert nop.completion_time == pytest.approx(170e-6, abs=1e-15)  # stored at tick 2
+    assert nop.pairs_consumed == 1
+    base = run_trial(BASE, Pumping(0), link, NOISELESS, QueuedU(*lost_then_kept))
+    # retries at the first tick arriving after the herald: 60 + 100 -> tick 11
+    assert base.completion_time == pytest.approx(260e-6, abs=1e-15)
+    assert base.pairs_consumed == 1
 
 
 def test_nop_monte_carlo_matches_closed_form():
@@ -396,7 +424,7 @@ def parse_events(lines):
 def test_event_log_message_causality():
     link = ground()  # lossy: herald failures show up too
     herald = link_delays(link).herald_delay
-    for kind in (BASE, HOPT, OPT, OPT_MBC):
+    for kind in (NOP, ProtocolKind("NOP", measure_before_confirm=True), BASE, HOPT, OPT, OPT_MBC):
         events = []
         run_trial(kind, Pumping(2), link, DEFAULT_NOISE, np.random.default_rng(19), events=events)
         parsed = parse_events(events)

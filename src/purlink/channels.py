@@ -3,23 +3,22 @@
 Gate depolarization, imperfect measurement, amplitude damping, dephasing,
 and the fiber / free-space transmissivities. All channel functions are pure:
 they take a register and return a new one.
+
+Gates, rotations and measurements contract the register over only the qubits
+they act on; no 2^n x 2^n operator is built. The embedding helpers of states
+(embed_single, embed_two, insert_mixed) and the Kraus ops amplitude_damp and
+dephase are the dense test oracle of these channels.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .states import (
-    PAULIS,
-    TwoQubitState,
-    embed_single,
-    embed_two,
-    insert_mixed,
-    trace_out,
-)
+from .states import PAULIS, TwoQubitState, embed_single, trace_out
 
 
 class ImpossibleOutcomeError(RuntimeError):
@@ -100,6 +99,47 @@ def extract_pair(reg: PairRegister, pair_label: int) -> TwoQubitState:
 
 
 # ---------------------------------------------------------------------------
+# Contraction on a few qubits. rho is viewed as t[a, m, b, m'] with the listed
+# qubits first (a, b index them in the given order) and the other qubits in
+# their register order (m, m').
+
+@lru_cache(maxsize=256)
+def _axes(qubits: tuple[int, ...], n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Axis permutation of the (2,)*2n tensor that puts qubits first, and its inverse."""
+    order = [*qubits, *(q for q in range(n) if q not in qubits)]
+    order += [n + q for q in order]
+    return tuple(order), tuple(sorted(range(2 * n), key=order.__getitem__))
+
+
+def _front(rho: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
+    """rho as a (2^k, 2^(n-k), 2^k, 2^(n-k)) array, the k listed qubits first."""
+    k, m = 1 << len(qubits), 1 << (n - len(qubits))
+    return rho.reshape((2,) * (2 * n)).transpose(_axes(qubits, n)[0]).reshape(k, m, k, m)
+
+
+def _back(t: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
+    """Inverse of _front: the 2^n x 2^n matrix in register order."""
+    inverse = _axes(qubits, n)[1]
+    return t.reshape((2,) * (2 * n)).transpose(inverse).reshape(1 << n, 1 << n)
+
+
+def _conjugate(t: np.ndarray, op: np.ndarray) -> np.ndarray:
+    """(op (x) I) t (op (x) I)^+ on a front view, as a front view."""
+    k, m = t.shape[0], t.shape[1]
+    left = (op @ t.reshape(k, -1)).reshape(k, m, k, m)
+    # contract the column index b with conj(op[b', b]); the result is (b', a, m, m')
+    both = op.conj() @ left.transpose(2, 0, 1, 3).reshape(k, -1)
+    return both.reshape(k, k, m, m).transpose(1, 2, 0, 3)
+
+
+def apply_unitary(reg: PairRegister, unitary: np.ndarray, qubits: tuple[int, ...]) -> PairRegister:
+    """Noiseless unitary on the listed qubits; its first index is qubits[0]."""
+    n = reg.n_qubits
+    out = _conjugate(_front(reg.rho, qubits, n), unitary)
+    return PairRegister(_back(out, qubits, n), reg.qubits)
+
+
+# ---------------------------------------------------------------------------
 # Gate noise
 
 CNOT = np.array(
@@ -123,29 +163,48 @@ def depolarize_gate(
     n = reg.n_qubits
     if i == j or not (0 <= i < n and 0 <= j < n):
         raise ValueError(f"invalid gate qubits {qubits} for a {n}-qubit register")
-    u = embed_two(unitary, i, j, n)
-    out = u @ reg.rho @ u.conj().T
+    t = _front(reg.rho, qubits, n)
+    out = _conjugate(t, unitary)
     if p_g < 1.0:
-        rest = trace_out(reg.rho, (i, j), n)
-        out = p_g * out + (1.0 - p_g) * insert_mixed(rest, (i, j), n)
-    return PairRegister(out, reg.qubits)
+        # the larger qubit is summed first, as trace_out does
+        pairs = ((0, 1), (2, 3)) if i < j else ((0, 2), (1, 3))
+        rest = sum(t[a, :, a, :] + t[b, :, b, :] for a, b in pairs)
+        mixed = (1.0 - p_g) * (rest * 0.25)
+        out = p_g * out
+        for a in range(4):
+            out[a, :, a, :] += mixed
+    return PairRegister(_back(out, qubits, n), reg.qubits)
 
 
 # ---------------------------------------------------------------------------
 # Measurement
 
+_SQ2 = 1.0 / math.sqrt(2.0)
+# (+1, -1) eigenvectors of each measurement basis
+_EIGENVECTORS = {
+    "X": (np.array([_SQ2, _SQ2]), np.array([_SQ2, -_SQ2])),
+    "Y": (np.array([_SQ2, 1j * _SQ2]), np.array([_SQ2, -1j * _SQ2])),
+}
+
+
 def measurement_branches(
     rho: np.ndarray, qubit: int, n_qubits: int, basis: str, p_m: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Unnormalized (+1, -1) branches p_m P_o rho P_o + (1-p_m) P_!o rho P_!o.
+    """Reduced (+1, -1) branches Tr_q[p_m P_o rho P_o + (1-p_m) P_!o rho P_!o].
 
-    Each trace is the probability of declaring o; the qubit is not traced out.
+    The measured qubit is already traced out, so each branch covers the other
+    n_qubits - 1 qubits in register order; its trace is the probability of
+    declaring o. Tr_q[P_o rho P_o] = sum_xy conj(v_o[x]) v_o[y] rho[x., y.] for
+    the eigenvector v_o of outcome o.
     """
-    pauli = PAULIS[basis]
-    p_plus = embed_single((np.eye(2, dtype=complex) + pauli) / 2.0, qubit, n_qubits)
-    p_minus = embed_single((np.eye(2, dtype=complex) - pauli) / 2.0, qubit, n_qubits)
-    kept_plus = p_plus @ rho @ p_plus
-    kept_minus = p_minus @ rho @ p_minus
+    r = _front(rho, (qubit,), n_qubits)
+    if basis == "Z":
+        kept_plus, kept_minus = r[0, :, 0, :], r[1, :, 1, :]
+    else:
+        kept_plus, kept_minus = (
+            sum(v[x].conjugate() * v[y] * r[x, :, y, :] for x in (0, 1) for y in (0, 1))
+            for v in _EIGENVECTORS[basis]
+        )
     return p_m * kept_plus + (1.0 - p_m) * kept_minus, p_m * kept_minus + (1.0 - p_m) * kept_plus
 
 
@@ -161,8 +220,7 @@ def noisy_measure(
     """
     if basis not in ("X", "Y", "Z"):
         raise ValueError(f"measurement basis must be X, Y or Z, got {basis!r}")
-    n = reg.n_qubits
-    branch_plus, branch_minus = measurement_branches(reg.rho, qubit, n, basis, p_m)
+    branch_plus, branch_minus = measurement_branches(reg.rho, qubit, reg.n_qubits, basis, p_m)
     prob_plus = float(np.real(np.trace(branch_plus)))
     prob_minus = float(np.real(np.trace(branch_minus)))
     total = prob_plus + prob_minus
@@ -176,8 +234,7 @@ def noisy_measure(
     if prob < 1e-15:
         raise ImpossibleOutcomeError("sampled a zero-probability measurement branch")
 
-    rho = trace_out(post, (qubit,), n)
-    rho = rho / np.trace(rho)
+    rho = post / np.trace(post)
     labels = reg.qubits[:qubit] + reg.qubits[qubit + 1 :]
     return outcome, PairRegister(rho, labels), prob
 

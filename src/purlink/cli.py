@@ -8,6 +8,8 @@ byte-stable across runs and thread counts for a fixed seed.
 from __future__ import annotations
 
 import argparse
+import multiprocessing
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
@@ -16,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import Estimates, estimate
-from .config import Config, ConfigError, apply_axis, check_trial_budget, load_config
+from .config import Config, ConfigError, check_delivery_bound, check_trial_budget, grid_points, load_config
 from .protocols import PROTOCOL_NAMES, ProtocolKind, Pumping, run_trial
 from .purify import CircuitError
 
@@ -24,6 +26,10 @@ SWEEP_HEADER = "protocol,f0,t2_s,mu_hz,d_km,n_steps,fidelity,fidelity_ci,rate,ra
 HEATMAP_HEADER = "f0,t2_s,best_protocol,best_skr,skr_nop,skr_base,skr_hopt,skr_opt"
 
 _EVENT_TRIAL_INDEX = 2**62  # far outside any reachable trial index
+
+# Each pool worker runs single-threaded BLAS unless the caller chose otherwise:
+# a full BLAS thread pool per worker oversubscribes the cores.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _fmt(x: float) -> str:
@@ -67,8 +73,17 @@ def _run_task(task) -> Estimates:
 def _run_all(tasks, threads: int) -> list[Estimates]:
     if threads <= 1 or len(tasks) <= 1:
         return [_run_task(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(_run_task, tasks))
+    # Workers are spawned, not forked, so that their numpy reads the thread
+    # variables at import; a forked worker keeps the parent's BLAS pool.
+    unset = [v for v in _BLAS_THREAD_VARS if v not in os.environ]
+    os.environ.update({v: "1" for v in unset})
+    try:
+        context = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=threads, mp_context=context) as pool:
+            return list(pool.map(_run_task, tasks))
+    finally:
+        for v in unset:
+            del os.environ[v]
 
 
 def _write_events_log(path: str, cfg: Config, mbc: bool) -> None:
@@ -90,14 +105,6 @@ def _apply_flags(cfg: Config, args) -> Config:
     cfg = replace(cfg, **{k: v for k, v in flags.items() if v is not None})
     check_trial_budget(cfg.trials_min, cfg.ci_target, cfg.max_trials)
     return cfg
-
-
-def _grid(cfg: Config) -> list[Config]:
-    """Effective configs in lexicographic grid order (first axis slowest)."""
-    points = [cfg]
-    for param, values in cfg.axes:
-        points = [apply_axis(p, param, v) for p in points for v in values]
-    return points
 
 
 def cmd_simulate(args) -> int:
@@ -122,7 +129,7 @@ def cmd_sweep(args) -> int:
     cfg = _apply_flags(load_config(args.config), args)
     if not cfg.axes:
         raise ConfigError("sweep requires at least 'sweep_param' and 'sweep_values'")
-    points = _grid(cfg)
+    points = grid_points(cfg)
     names = [n for n in PROTOCOL_NAMES if n in cfg.protocols]
     tasks = [
         _task(point, name, idx, cfg.measure_before_confirm)
@@ -162,9 +169,11 @@ def cmd_heatmap(args) -> int:
         raise ConfigError(
             "heatmap requires exactly sweep_param = f0 and sweep_param2 = t2_s"
         )
-    points = _grid(cfg)
+    points = grid_points(cfg)
     # The heatmap scores QKD operation: every protocol measures before the
     # final confirmation, so delivery is filtered, never awaited.
+    for point in points:
+        check_delivery_bound(point, PROTOCOL_NAMES, True)
     tasks = [
         _task(point, name, idx, True)
         for idx, point in enumerate(points)

@@ -8,17 +8,23 @@ key named in the message.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Union
 
 from .analysis import SKF_MODES
 from .channels import NoiseParams, OpticalHardware
-from .linkmodel import LinkConfig
+from .linkmodel import GROUND, LinkConfig, per_photon_survival
 from .protocols import PROTOCOL_NAMES, CircuitScheme, Pumping, Scheme
 from .purify import load_circuit
 
 SWEEPABLE = ("f0", "t2_s", "mu_hz", "d_km", "n_steps")
+
+# Largest accepted lower bound on the mean source ticks per delivery; at 1 GHz
+# it is a second per trial. For scale, 5-step OPT needs about 1e2 over 20 km
+# of fiber and 5.8e3 over an 800 km satellite link.
+MAX_DELIVERY_TICKS = 1e9
 
 
 class ConfigError(ValueError):
@@ -220,7 +226,51 @@ def parse_config(text: str, base_dir: Union[str, Path, None] = None) -> Config:
             axes.append((param, values))
     if len(axes) == 2 and axes[0][0] == axes[1][0]:
         raise ConfigError("sweep_param and sweep_param2 must differ")
-    return replace(cfg, axes=tuple(axes))
+    cfg = replace(cfg, axes=tuple(axes))
+    for point in grid_points(cfg):
+        check_delivery_bound(point, cfg.protocols, cfg.measure_before_confirm)
+    return cfg
+
+
+def grid_points(cfg: Config) -> list[Config]:
+    """Effective configs in lexicographic grid order (first axis slowest)."""
+    points = [cfg]
+    for param, values in cfg.axes:
+        points = [apply_axis(p, param, v) for p in points for v in values]
+    return points
+
+
+def check_delivery_bound(cfg: Config, protocols: tuple[str, ...], mbc: bool) -> None:
+    """Reject a link whose deliveries need more than MAX_DELIVERY_TICKS ticks.
+
+    With per-photon survival p, storing one pair takes 1/p^2 source ticks on
+    average, so a delivery from N pairs takes at least N/p^2 (raw delivery
+    takes one pair). OPT on the timed engine restarts its episode on every
+    one-sided loss; a tick on which any photon arrives brings both with
+    probability p/(2-p), so it also needs at least ((2-p)/p)^N ticks. Blind
+    OPT (measure_before_confirm with pumping) skips lost rounds in one draw
+    and takes only the first bound.
+    """
+    p = per_photon_survival(cfg.link)
+    scheme = cfg.scheme
+    n_pairs = scheme.n_steps + 1 if isinstance(scheme, Pumping) else scheme.circuit.num_pairs
+    log_p = math.log10(p) if p > 0.0 else -math.inf
+    log_ticks = -math.inf
+    for name in protocols:
+        n = 1 if name == "NOP" else n_pairs
+        log_ticks = max(log_ticks, math.log10(n) - 2.0 * log_p)
+        if name == "OPT" and not (mbc and isinstance(scheme, Pumping)):
+            log_ticks = max(log_ticks, n * (math.log10(2.0 - p) - log_p))
+    if log_ticks > math.log10(MAX_DELIVERY_TICKS):
+        if cfg.link.kind == GROUND:
+            loss = f"alpha_db_per_km = {cfg.link.alpha_f!r}"
+        else:
+            loss = f"alpha_atm_per_km = {cfg.link.alpha_a!r}"
+        raise ConfigError(
+            f"link cannot deliver in bounded time: d_km = {cfg.link.d!r} with {loss} "
+            f"gives per-photon survival {p:.3g}, so a delivery needs at least "
+            f"10^{log_ticks:.1f} source ticks on average (limit {MAX_DELIVERY_TICKS:.0e})"
+        )
 
 
 def check_trial_budget(trials_min: int, ci_target: float, max_trials: Optional[int]) -> None:

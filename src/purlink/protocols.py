@@ -64,13 +64,12 @@ from .purify import (
     Measure,
     PurificationCircuit,
     Rot,
-    ROT_ALICE,
-    ROT_BOB,
+    ROT_PAIR,
     _bilateral_gate,
     _measure_pair,
     _rotate_pair,
 )
-from .states import TwoQubitState, make_werner, trace_out
+from .states import TwoQubitState, make_werner
 
 PROTOCOL_NAMES = ("NOP", "BASE", "HOPT", "OPT")
 
@@ -144,12 +143,12 @@ def expected_nop_time(link: LinkConfig) -> float:
 # is linear in the joint 16x16 input, so the four (alice, bob) outcome
 # branches are fixed 16->4 dimensional superoperators. They are built once
 # per (p_g, p_m) by pushing basis matrices through depolarize_gate and the
-# measurement branches of noisy_measure, which keeps them semantically
-# identical to dejmps_step.
+# reduced measurement branches of noisy_measure (each already traces out the
+# measured qubit), which keeps them semantically identical to dejmps_step.
 
 @lru_cache(maxsize=16)
 def _step_branch_maps(p_g: float, p_m: float) -> np.ndarray:
-    r16 = np.kron(np.kron(ROT_ALICE, ROT_BOB), np.kron(ROT_ALICE, ROT_BOB))
+    r16 = np.kron(ROT_PAIR, ROT_PAIR)
     maps = np.empty((4, 16, 256), dtype=complex)
     for row in range(16):
         for col in range(16):
@@ -161,9 +160,8 @@ def _step_branch_maps(p_g: float, p_m: float) -> np.ndarray:
             # Alice's sacrificial qubit, then Bob's (now at index 2); the
             # branch order (+1, +1), (+1, -1), (-1, +1), (-1, -1) is step's
             for ia, rho_a in enumerate(measurement_branches(reg.rho, 2, 4, "Z", p_m)):
-                r8 = trace_out(rho_a, (2,), 4)
-                for ib, rho_b in enumerate(measurement_branches(r8, 2, 3, "Z", p_m)):
-                    maps[2 * ia + ib, :, row * 16 + col] = trace_out(rho_b, (2,), 3).reshape(-1)
+                for ib, rho_b in enumerate(measurement_branches(rho_a, 2, 3, "Z", p_m)):
+                    maps[2 * ia + ib, :, row * 16 + col] = rho_b.reshape(-1)
     return maps.reshape(64, 256)
 
 
@@ -418,8 +416,7 @@ def _pumping_circuit(n_steps: int) -> PurificationCircuit:
 
 
 _ROT, _GATE, _MEASURE, _STEP, _DELIVER = range(5)
-_ROT2 = np.kron(ROT_ALICE, ROT_BOB)
-_ROT2_H = _ROT2.conj().T
+_ROT_PAIR_H = ROT_PAIR.conj().T
 
 
 @lru_cache(maxsize=32)
@@ -570,7 +567,7 @@ def _timed_trial(
             else:
                 if code == _ROT:
                     if lone[p] is not None:
-                        lone[p] = _ROT2 @ lone[p] @ _ROT2_H
+                        lone[p] = ROT_PAIR @ lone[p] @ _ROT_PAIR_H
                     else:
                         reg = _rotate_pair(reg, p)
                 else:  # GATE: both operands join the register

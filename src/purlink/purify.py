@@ -19,6 +19,7 @@ from .channels import (
     TWO_QUBIT_GATES,
     NoiseParams,
     PairRegister,
+    apply_unitary,
     depolarize_gate,
     extract_pair,
     join,
@@ -31,6 +32,7 @@ from .states import BellCoeffs, I2, PAULI_X, TwoQubitState
 # side takes which sign is conventionally arbitrary; Alice gets the plus.
 ROT_ALICE = (I2 - 1j * PAULI_X) / np.sqrt(2.0)
 ROT_BOB = (I2 + 1j * PAULI_X) / np.sqrt(2.0)
+ROT_PAIR = np.kron(ROT_ALICE, ROT_BOB)  # on one pair's (A, B) qubits
 
 
 @dataclass(frozen=True)
@@ -46,13 +48,7 @@ def _rotate_pair(reg: PairRegister, pair_label: int) -> PairRegister:
     """Apply the bilateral DEJMPS rotation to one pair (noiseless 1q gates)."""
     ia = reg.qubit_index(pair_label, "A")
     ib = reg.qubit_index(pair_label, "B")
-    ops = [I2] * reg.n_qubits
-    ops[ia] = ROT_ALICE
-    ops[ib] = ROT_BOB
-    full = ops[0]
-    for o in ops[1:]:
-        full = np.kron(full, o)
-    return PairRegister(full @ reg.rho @ full.conj().T, reg.qubits)
+    return apply_unitary(reg, ROT_PAIR, (ia, ib))
 
 
 def _bilateral_gate(

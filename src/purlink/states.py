@@ -4,6 +4,11 @@ Density matrices are plain complex numpy arrays. A two-qubit state is 4x4
 with qubit order Alice tensor Bob. The Bell basis is fixed everywhere as
 (phi+, psi-, psi+, phi-); keeping one ordering avoids silent coefficient
 permutations between the simulator and the analytic recurrence oracle.
+
+The n-qubit helpers at the end serve two roles: trace_out is used by the
+channels, while embed_single, embed_two and insert_mixed build full 2^n x 2^n
+operators and are only the dense test oracle of the register channels, which
+contract over the acted-on qubits instead.
 """
 
 from __future__ import annotations
@@ -88,8 +93,8 @@ def check_state(rho: np.ndarray, tol: float = 1e-9) -> None:
 
 
 # ---------------------------------------------------------------------------
-# n-qubit helpers shared by the channel and purification code. Qubit 0 is the
-# leftmost (most significant) tensor factor.
+# n-qubit helpers: trace_out for the channels, the embeddings for the dense
+# oracle. Qubit 0 is the leftmost (most significant) tensor factor.
 
 def embed_single(op: np.ndarray, qubit: int, n_qubits: int) -> np.ndarray:
     """Lift a 2x2 operator to the full 2^n space at the given position."""

@@ -1,4 +1,5 @@
 import math
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -18,12 +19,24 @@ from purlink.channels import (
     extract_pair,
     fiber_transmissivity,
     join,
+    measurement_branches,
     noisy_measure,
     register_from_pair,
     satellite_transmissivity,
 )
 from purlink.channels import _damping_lambda, _dephasing_pz
-from purlink.states import fidelity, make_werner
+from purlink.protocols import _step_branch_maps
+from purlink.purify import ROT_ALICE, ROT_BOB, ROT_PAIR, _rotate_pair
+from purlink.states import (
+    I2,
+    PAULIS,
+    embed_single,
+    embed_two,
+    fidelity,
+    insert_mixed,
+    make_werner,
+    trace_out,
+)
 
 RNG = np.random.default_rng(77)
 PAIR0 = ((0, "A"), (0, "B"))
@@ -205,6 +218,79 @@ def test_measurement_channel_preserves_trace():
         _, _, p_plus = noisy_measure(reg, 1, basis, 0.8, 0.0)
         _, _, p_minus = noisy_measure(reg, 1, basis, 0.8, 1.0 - 1e-12)
         assert abs(p_plus + p_minus - 1.0) < 1e-10
+
+
+# --- register channels against the dense oracle ---
+#
+# The channels contract over the qubits they act on; the oracle builds the
+# full 2^n x 2^n operators with the embedding helpers of states.
+
+
+def _dense_gate(rho, n, unitary, qubits, p_g):
+    u = embed_two(unitary, *qubits, n)
+    out = u @ rho @ u.conj().T
+    if p_g < 1.0:
+        out = p_g * out + (1.0 - p_g) * insert_mixed(trace_out(rho, qubits, n), qubits, n)
+    return out
+
+
+def _dense_branches(rho, n, qubit, basis, p_m):
+    kept = []
+    for sign in (1.0, -1.0):
+        proj = embed_single((I2 + sign * PAULIS[basis]) / 2.0, qubit, n)
+        kept.append(trace_out(proj @ rho @ proj, (qubit,), n))
+    return p_m * kept[0] + (1.0 - p_m) * kept[1], p_m * kept[1] + (1.0 - p_m) * kept[0]
+
+
+@pytest.mark.parametrize("n", (2, 3, 4, 5, 6))
+def test_register_channels_match_dense_oracle(n):
+    rng = np.random.default_rng((41, n))
+    rho = random_density(1 << n, rng)
+    labels = tuple((q + 1, "A") for q in range(n))
+    reg = PairRegister(rho, labels)
+    for i, j in permutations(range(n), 2):
+        for gate in (CNOT, CZ):
+            for p_g in (1.0, 0.97):
+                got = depolarize_gate(reg, gate, (i, j), p_g).rho
+                assert np.abs(got - _dense_gate(rho, n, gate, (i, j), p_g)).max() < 1e-14
+        # pair 0 with Alice's qubit at i and Bob's at j
+        pair = PairRegister(rho, labels[:i] + ((0, "A"),) + labels[i + 1 :])
+        pair = PairRegister(rho, pair.qubits[:j] + ((0, "B"),) + pair.qubits[j + 1 :])
+        ops = [I2] * n
+        ops[i], ops[j] = ROT_ALICE, ROT_BOB
+        full = ops[0]
+        for op in ops[1:]:
+            full = np.kron(full, op)
+        got = _rotate_pair(pair, 0).rho
+        assert np.abs(got - full @ rho @ full.conj().T).max() < 1e-14
+    for q in range(n):
+        for basis in ("X", "Y", "Z"):
+            for p_m in (1.0, 0.93):
+                got = measurement_branches(rho, q, n, basis, p_m)
+                want = _dense_branches(rho, n, q, basis, p_m)
+                for g, w in zip(got, want):
+                    assert g.shape == (1 << (n - 1), 1 << (n - 1))
+                    assert np.abs(g - w).max() < 1e-14
+
+
+@pytest.mark.parametrize("p_g, p_m", ((0.99, 0.99), (1.0, 1.0), (0.9, 0.95)))
+def test_step_branch_maps_match_dense_oracle(p_g, p_m):
+    # the step's rotations, two CNOTs and two Z measurements, pushed through
+    # the dense operators basis matrix by basis matrix
+    r16 = np.kron(ROT_PAIR, ROT_PAIR)
+    want = np.empty((4, 16, 256), dtype=complex)
+    for row in range(16):
+        for col in range(16):
+            basis = np.zeros((16, 16), dtype=complex)
+            basis[row, col] = 1.0
+            rho = r16 @ basis @ r16.conj().T
+            rho = _dense_gate(rho, 4, CNOT, (0, 2), p_g)
+            rho = _dense_gate(rho, 4, CNOT, (1, 3), p_g)
+            for ia, rho_a in enumerate(_dense_branches(rho, 4, 2, "Z", p_m)):
+                for ib, rho_b in enumerate(_dense_branches(rho_a, 3, 2, "Z", p_m)):
+                    want[2 * ia + ib, :, row * 16 + col] = rho_b.reshape(-1)
+    got = _step_branch_maps(p_g, p_m)
+    assert np.abs(got - want.reshape(64, 256)).max() < 1e-14
 
 
 # --- memory decoherence ---

@@ -1,6 +1,7 @@
 """Config grammar, CSV output, exit codes, and reproducibility of the CLI."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -193,6 +194,37 @@ def test_out_of_domain_sweep_values_are_config_errors(tmp_path, capsys, axes, ke
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "link",
+    [
+        # p = 0.056 per photon: OPT's episode of six pairs needs ~1.7e9 restarts
+        "kind = ground\nd_km = 50\nmu_hz = 1e9\nf0 = 0.9\nalpha_db_per_km = 0.5\nn_steps = 5\n",
+        # p = 1e-100: not one pair in any feasible number of ticks
+        "kind = ground\nd_km = 1e4\nmu_hz = 1e9\nf0 = 0.9\n",
+    ],
+    ids=["opt_restarts", "no_photon"],
+)
+def test_links_that_cannot_deliver_are_config_errors(tmp_path, capsys, link):
+    assert main(["simulate", cfg_file(tmp_path, link)]) == 2
+    err = capsys.readouterr().err
+    assert "d_km" in err and "alpha_db_per_km" in err
+
+
+def test_delivery_bound_follows_protocol_and_grid(tmp_path, capsys):
+    lossy = "kind = ground\nd_km = 50\nmu_hz = 1e9\nf0 = 0.9\nalpha_db_per_km = 0.5\nn_steps = 5\n"
+    # only OPT on the timed engine pays for restarts; blind OPT skips lost rounds
+    parse_config(lossy + "protocols = NOP,BASE,HOPT\n")
+    parse_config(lossy + "measure_before_confirm = true\n")
+    # one unbounded grid point rejects the whole sweep
+    text = MINIMAL + (
+        "trials_min = 100\nmax_trials = 100\nprotocols = NOP\nn_steps = 0\n"
+        "sweep_param = d_km\nsweep_values = 20, 1e4\n"
+    )
+    assert main(["sweep", cfg_file(tmp_path, text), str(tmp_path / "out.csv")]) == 2
+    assert "d_km = 10000.0" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_simulate_rejects_sweep_axes(tmp_path, capsys):
     path = cfg_file(tmp_path, FAST + "sweep_param = f0\nsweep_values = 0.8, 0.9\n")
     assert main(["simulate", path]) == 2
@@ -316,6 +348,19 @@ def test_sweep_csv_byte_identical_across_runs_and_threads(tmp_path):
     threaded = sweep_csv(tmp_path, text, "c.csv", extra=("--threads", "3"))
     assert first == again
     assert first == threaded
+
+
+def test_pool_leaves_blas_thread_variables_as_found(tmp_path, monkeypatch):
+    # the pool sets single-threaded BLAS for its workers only where the
+    # caller set nothing, and restores the environment afterwards
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    before = dict(os.environ)
+    text = FAST + "protocols = NOP\nn_steps = 0\nsweep_param = f0\nsweep_values = 0.8, 0.9\n"
+    pooled = sweep_csv(tmp_path, text, "a.csv", extra=("--threads", "2"))
+    assert dict(os.environ) == before
+    assert pooled == sweep_csv(tmp_path, text, "b.csv")
 
 
 def test_sweep_protocol_subset_rows_match_full_run(tmp_path):

@@ -15,12 +15,7 @@ import numpy as np
 from .channels import NoiseParams
 from .linkmodel import LinkConfig
 from .protocols import ProtocolKind, Scheme, run_trial
-from .states import TwoQubitState, fidelity
-
-_XX = np.array(
-    [[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]], dtype=complex
-)
-_ZZ = np.diag([1.0, -1.0, -1.0, 1.0]).astype(complex)
+from .states import TwoQubitState, fidelity, pauli_expectation
 
 SKF_MODES = ("qber", "raw")
 
@@ -40,8 +35,8 @@ def skf_bb84(rho: TwoQubitState, mode: str = "qber") -> float:
     in "raw" mode the correlators feed the entropy directly, which zeroes
     the fraction for anything below theta ~ 0.89. Both are clamped at 0.
     """
-    theta_x = float(np.real(np.trace(rho @ _XX)))
-    theta_z = float(np.real(np.trace(rho @ _ZZ)))
+    theta_x = pauli_expectation(rho, "X", "X")
+    theta_z = pauli_expectation(rho, "Z", "Z")
     if mode == "qber":
         h_x = binary_entropy((1.0 - theta_x) / 2.0)
         h_z = binary_entropy((1.0 - theta_z) / 2.0)

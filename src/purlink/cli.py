@@ -18,7 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import Estimates, estimate
-from .config import Config, ConfigError, check_delivery_bound, check_trial_budget, grid_points, load_config
+from .config import (
+    Config, ConfigError, check_delivery_bound, check_seed, check_trial_budget, grid_points, load_config,
+)
 from .protocols import PROTOCOL_NAMES, ProtocolKind, Pumping, run_trial
 from .purify import CircuitError
 
@@ -48,42 +50,34 @@ def _cell_seed(cfg: Config, name: str, cell_idx: int) -> tuple[int, int, int]:
     return (cfg.seed, PROTOCOL_NAMES.index(name), cell_idx)
 
 
-def _task(cfg: Config, name: str, cell_idx: int, mbc: bool):
-    return (
-        ProtocolKind(name, measure_before_confirm=mbc),
-        cfg.scheme,
-        cfg.link,
-        cfg.noise,
-        cfg.trials_min,
-        _cell_seed(cfg, name, cell_idx),
-        cfg.ci_target,
-        cfg.max_trials,
-        cfg.skf_mode,
-    )
-
-
-def _run_task(task) -> Estimates:
-    kind, scheme, link, noise, n_min, seed, ci_target, max_trials, skf_mode = task
+def _run_task(task: tuple[Config, str, int, bool]) -> Estimates:
+    point, name, cell_idx, mbc = task
     return estimate(
-        kind, scheme, link, noise, n_min, seed,
-        ci_target=ci_target, max_trials=max_trials, skf_mode=skf_mode,
+        ProtocolKind(name, measure_before_confirm=mbc), point.scheme, point.link, point.noise,
+        point.trials_min, _cell_seed(point, name, cell_idx),
+        ci_target=point.ci_target, max_trials=point.max_trials, skf_mode=point.skf_mode,
     )
 
 
-def _run_all(tasks, threads: int) -> list[Estimates]:
+def _estimate_grid(points: list[Config], names, mbc: bool, threads: int) -> list[list[Estimates]]:
+    """One row per grid point, holding the estimate of each named protocol."""
+    tasks = [(point, name, idx, mbc) for idx, point in enumerate(points) for name in names]
     if threads <= 1 or len(tasks) <= 1:
-        return [_run_task(t) for t in tasks]
-    # Workers are spawned, not forked, so that their numpy reads the thread
-    # variables at import; a forked worker keeps the parent's BLAS pool.
-    unset = [v for v in _BLAS_THREAD_VARS if v not in os.environ]
-    os.environ.update({v: "1" for v in unset})
-    try:
-        context = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(max_workers=threads, mp_context=context) as pool:
-            return list(pool.map(_run_task, tasks))
-    finally:
-        for v in unset:
-            del os.environ[v]
+        flat = [_run_task(t) for t in tasks]
+    else:
+        # Workers are spawned, not forked, so that their numpy reads the
+        # thread variables at import; a forked worker keeps the parent's BLAS pool.
+        unset = [v for v in _BLAS_THREAD_VARS if v not in os.environ]
+        os.environ.update({v: "1" for v in unset})
+        try:
+            context = multiprocessing.get_context("spawn")
+            with ProcessPoolExecutor(max_workers=threads, mp_context=context) as pool:
+                flat = list(pool.map(_run_task, tasks))
+        finally:
+            for v in unset:
+                del os.environ[v]
+    n = len(names)
+    return [flat[i : i + n] for i in range(0, len(flat), n)]
 
 
 def _write_events_log(path: str, cfg: Config, mbc: bool) -> None:
@@ -104,6 +98,7 @@ def _apply_flags(cfg: Config, args) -> Config:
     flags = {k: getattr(args, k) for k in ("seed", "trials_min", "ci_target", "max_trials")}
     cfg = replace(cfg, **{k: v for k, v in flags.items() if v is not None})
     check_trial_budget(cfg.trials_min, cfg.ci_target, cfg.max_trials)
+    check_seed(cfg.seed)
     return cfg
 
 
@@ -111,8 +106,7 @@ def cmd_simulate(args) -> int:
     cfg = _apply_flags(load_config(args.config), args)
     if cfg.axes:
         raise ConfigError("simulate takes no sweep axes; use the sweep command")
-    tasks = [_task(cfg, name, 0, cfg.measure_before_confirm) for name in cfg.protocols]
-    results = _run_all(tasks, args.threads)
+    (results,) = _estimate_grid([cfg], cfg.protocols, cfg.measure_before_confirm, args.threads)
     print("protocol fidelity fidelity_ci rate_per_s rate_ci skr_bits_per_s n_trials converged")
     for name, est in zip(cfg.protocols, results):
         print(
@@ -131,17 +125,10 @@ def cmd_sweep(args) -> int:
         raise ConfigError("sweep requires at least 'sweep_param' and 'sweep_values'")
     points = grid_points(cfg)
     names = [n for n in PROTOCOL_NAMES if n in cfg.protocols]
-    tasks = [
-        _task(point, name, idx, cfg.measure_before_confirm)
-        for idx, point in enumerate(points)
-        for name in names
-    ]
-    results = _run_all(tasks, args.threads)
+    rows = _estimate_grid(points, names, cfg.measure_before_confirm, args.threads)
     lines = [SWEEP_HEADER]
-    it = iter(results)
-    for idx, point in enumerate(points):
-        for name in names:
-            est = next(it)
+    for point, row in zip(points, rows):
+        for name, est in zip(names, row):
             lines.append(",".join((
                 name,
                 _fmt(point.link.f0),
@@ -174,16 +161,10 @@ def cmd_heatmap(args) -> int:
     # final confirmation, so delivery is filtered, never awaited.
     for point in points:
         check_delivery_bound(point, PROTOCOL_NAMES, True)
-    tasks = [
-        _task(point, name, idx, True)
-        for idx, point in enumerate(points)
-        for name in PROTOCOL_NAMES
-    ]
-    results = _run_all(tasks, args.threads)
+    rows = _estimate_grid(points, PROTOCOL_NAMES, True, args.threads)
     lines = [HEATMAP_HEADER]
-    it = iter(results)
-    for point in points:
-        skrs = [next(it).skr for _ in PROTOCOL_NAMES]
+    for point, row in zip(points, rows):
+        skrs = [est.skr for est in row]
         best_skr = max(skrs)
         if best_skr <= 0.0:
             best = "N/A"

@@ -46,11 +46,14 @@ class Config:
     axes: tuple[tuple[str, tuple[float, ...]], ...]
 
 
-def _parse_float(key: str, raw: str) -> float:
+def _parse_float(key: str, raw: str, inf_ok: bool = False) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigError(f"invalid value for '{key}': {raw!r} is not a number") from None
+    if math.isnan(value) or (math.isinf(value) and not inf_ok):
+        raise ConfigError(f"invalid value for '{key}': {raw!r} is not a finite number")
+    return value
 
 
 def _parse_int(key: str, raw: str) -> int:
@@ -67,12 +70,13 @@ def _parse_bool(key: str, raw: str) -> bool:
     raise ConfigError(f"invalid value for '{key}': expected true or false, got {raw!r}")
 
 
-def _parse_values(key: str, raw: str, as_int: bool) -> tuple[float, ...]:
+def _parse_values(key: str, raw: str, param: str) -> tuple[float, ...]:
     parts = [p.strip() for p in raw.split(",")]
     if not parts or any(not p for p in parts):
         raise ConfigError(f"invalid value for '{key}': expected a comma-separated list")
     vals = tuple(
-        _parse_int(key, p) if as_int else _parse_float(key, p) for p in parts
+        _parse_int(key, p) if param == "n_steps" else _parse_float(key, p, param in _INF_OK)
+        for p in parts
     )
     if len(vals) > 1:
         diffs = [b - a for a, b in zip(vals, vals[1:])]
@@ -91,6 +95,8 @@ _LINK_FIELDS = {
 }
 _HW_FIELDS = {"d_s_m": "d_s", "d_g_m": "d_g", "wavelength_m": "wavelength"}
 _NOISE_FIELDS = {"p_g": "p_g", "p_m": "p_m", "t1_s": "t1", "t2_s": "t2"}
+# the only float keys where inf means something: it disables that damping
+_INF_OK = {"t1_s", "t2_s"}
 _FLOAT_KEYS = {*_LINK_FIELDS, *_HW_FIELDS, *_NOISE_FIELDS, "ci_target"}
 _INT_KEYS = {"n_steps", "seed", "trials_min", "max_trials"}
 _BOOL_KEYS = {"measure_before_confirm"}
@@ -137,7 +143,11 @@ def parse_config(text: str, base_dir: Union[str, Path, None] = None) -> Config:
         raise ConfigError(f"invalid value for 'kind': expected ground or satellite, got {kind!r}")
 
     def fields(table: dict[str, str]) -> dict[str, float]:
-        return {name: _parse_float(key, raw[key]) for key, name in table.items() if key in raw}
+        return {
+            name: _parse_float(key, raw[key], key in _INF_OK)
+            for key, name in table.items()
+            if key in raw
+        }
 
     try:
         hw = OpticalHardware(**fields(_HW_FIELDS))
@@ -185,6 +195,8 @@ def parse_config(text: str, base_dir: Union[str, Path, None] = None) -> Config:
     ci_target = _parse_float("ci_target", raw["ci_target"]) if "ci_target" in raw else 0.03
     max_trials = take_int("max_trials", 0) if "max_trials" in raw else None
     check_trial_budget(trials_min, ci_target, max_trials)
+    seed = take_int("seed", 0)
+    check_seed(seed)
 
     cfg = Config(
         link=link,
@@ -195,7 +207,7 @@ def parse_config(text: str, base_dir: Union[str, Path, None] = None) -> Config:
             "measure_before_confirm", raw.get("measure_before_confirm", "false")
         ),
         skf_mode=skf_mode,
-        seed=take_int("seed", 0),
+        seed=seed,
         trials_min=trials_min,
         ci_target=ci_target,
         max_trials=max_trials,
@@ -216,7 +228,7 @@ def parse_config(text: str, base_dir: Union[str, Path, None] = None) -> Config:
                 )
             if param == "n_steps" and isinstance(scheme, CircuitScheme):
                 raise ConfigError("cannot sweep 'n_steps' with a circuit scheme")
-            values = _parse_values(vkey, raw[vkey], as_int=param == "n_steps")
+            values = _parse_values(vkey, raw[vkey], param)
             # no axis constrains another, so each value is checked on its own
             for v in values:
                 try:
@@ -277,10 +289,16 @@ def check_trial_budget(trials_min: int, ci_target: float, max_trials: Optional[i
     """Reject a trial budget the estimator cannot honour, naming the key."""
     if trials_min < 100:
         raise ConfigError("invalid value for 'trials_min': must be at least 100")
-    if ci_target <= 0:
-        raise ConfigError("invalid value for 'ci_target': must be positive")
+    if not 0 < ci_target < math.inf:
+        raise ConfigError("invalid value for 'ci_target': must be positive and finite")
     if max_trials is not None and max_trials < trials_min:
         raise ConfigError("invalid value for 'max_trials': must be at least trials_min")
+
+
+def check_seed(seed: int) -> None:
+    """Reject a seed that numpy's generators cannot take, naming the key."""
+    if seed < 0:
+        raise ConfigError("invalid value for 'seed': must be non-negative")
 
 
 def load_config(path: Union[str, Path]) -> Config:
@@ -294,14 +312,10 @@ def load_config(path: Union[str, Path]) -> Config:
 
 def apply_axis(cfg: Config, param: str, value: float) -> Config:
     """A copy of cfg with one sweep parameter replaced by a grid value."""
-    if param == "f0":
-        return replace(cfg, link=replace(cfg.link, f0=value))
-    if param == "d_km":
-        return replace(cfg, link=replace(cfg.link, d=value))
-    if param == "mu_hz":
-        return replace(cfg, link=replace(cfg.link, mu=value))
-    if param == "t2_s":
-        return replace(cfg, noise=replace(cfg.noise, t2=value))
+    if param not in SWEEPABLE:
+        raise ConfigError(f"unknown sweep parameter {param!r}")
     if param == "n_steps":
         return replace(cfg, scheme=Pumping(int(value)))
-    raise ConfigError(f"unknown sweep parameter {param!r}")
+    if param in _NOISE_FIELDS:
+        return replace(cfg, noise=replace(cfg.noise, **{_NOISE_FIELDS[param]: value}))
+    return replace(cfg, link=replace(cfg.link, **{_LINK_FIELDS[param]: value}))

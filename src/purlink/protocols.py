@@ -28,7 +28,7 @@ source ticks. The engine keeps two timing rules, one per instruction form:
   soon as its operands are usable and the local timeline is free, so a
   rotation acts when its pair becomes usable.
   A pumping step applies rotations, CNOTs and measurement at the measure
-  instant, through the precomputed branch maps of _Kernel.step.
+  instant, through the precomputed branch maps of purify._pump_step.
 
 Rotations do not commute with dephasing, so under memory noise Pumping(1)
 and dejmps.circuit are not interchangeable: on identical clocks their
@@ -43,18 +43,12 @@ from functools import lru_cache
 from heapq import heappop, heappush
 from typing import Optional, Union
 
-import numpy as np
-
 from .channels import (
-    CNOT,
-    ImpossibleOutcomeError,
     NoiseParams,
     PairRegister,
     TWO_QUBIT_GATES,
     decohere,
-    depolarize_gate,
     extract_pair,
-    measurement_branches,
     join,
     register_from_pair,
 )
@@ -67,7 +61,9 @@ from .purify import (
     ROT_PAIR,
     _bilateral_gate,
     _measure_pair,
+    _pump_step,
     _rotate_pair,
+    _step_branch_maps,
 )
 from .states import TwoQubitState, make_werner
 
@@ -136,38 +132,6 @@ def expected_nop_time(link: LinkConfig) -> float:
     return period / p + photon_delay + herald_delay
 
 
-# ---------------------------------------------------------------------------
-# Fast conditional-branch maps for one pumping step.
-#
-# The step pipeline (rotations, two depolarized CNOTs, two noisy Z measures)
-# is linear in the joint 16x16 input, so the four (alice, bob) outcome
-# branches are fixed 16->4 dimensional superoperators. They are built once
-# per (p_g, p_m) by pushing basis matrices through depolarize_gate and the
-# reduced measurement branches of noisy_measure (each already traces out the
-# measured qubit), which keeps them semantically identical to dejmps_step.
-
-@lru_cache(maxsize=16)
-def _step_branch_maps(p_g: float, p_m: float) -> np.ndarray:
-    r16 = np.kron(ROT_PAIR, ROT_PAIR)
-    maps = np.empty((4, 16, 256), dtype=complex)
-    for row in range(16):
-        for col in range(16):
-            basis = np.zeros((16, 16), dtype=complex)
-            basis[row, col] = 1.0
-            reg = PairRegister(r16 @ basis @ r16.conj().T, ((0, "A"), (0, "B"), (1, "A"), (1, "B")))
-            reg = depolarize_gate(reg, CNOT, (0, 2), p_g)
-            reg = depolarize_gate(reg, CNOT, (1, 3), p_g)
-            # Alice's sacrificial qubit, then Bob's (now at index 2); the
-            # branch order (+1, +1), (+1, -1), (-1, +1), (-1, -1) is step's
-            for ia, rho_a in enumerate(measurement_branches(reg.rho, 2, 4, "Z", p_m)):
-                for ib, rho_b in enumerate(measurement_branches(rho_a, 2, 3, "Z", p_m)):
-                    maps[2 * ia + ib, :, row * 16 + col] = rho_b.reshape(-1)
-    return maps.reshape(64, 256)
-
-
-_DIAG = np.arange(4)
-
-
 class _Kernel:
     """Per-configuration machinery shared by all trials of one cell.
 
@@ -182,7 +146,6 @@ class _Kernel:
         self.p_photon = per_photon_survival(link)
         self.werner = make_werner(link.f0)
         self.werner.setflags(write=False)  # shared by every trial of the cell
-        self._step_maps: Optional[np.ndarray] = None
 
     # -- timing helpers ----------------------------------------------------
     def tick_from_emission(self, ref: float) -> int:
@@ -196,30 +159,6 @@ class _Kernel:
 
     def arrival(self, k: int) -> float:
         return k * self.period + self.photon_delay
-
-    # -- quantum helpers ---------------------------------------------------
-    def step(
-        self, main: TwoQubitState, sac: TwoQubitState, rng
-    ) -> tuple[int, int, TwoQubitState]:
-        """Sample one pumping step; draws two uniforms (Alice then Bob)."""
-        if self._step_maps is None:
-            self._step_maps = _step_branch_maps(self.noise.p_g, self.noise.p_m)
-        joint = (main[:, None, :, None] * sac[None, :, None, :]).reshape(-1)
-        branches = (self._step_maps @ joint).reshape(4, 4, 4)
-        traces = branches[:, _DIAG, _DIAG].sum(axis=1).real
-        total = traces.sum()
-        if total < 1e-15:
-            raise ImpossibleOutcomeError("all step branches have vanishing probability")
-        out_a = 1 if rng.random() < (traces[0] + traces[1]) / total else -1
-        base = 0 if out_a == 1 else 2
-        sub = traces[base] + traces[base + 1]
-        if sub < 1e-15:
-            raise ImpossibleOutcomeError("selected measurement branch is impossible")
-        out_b = 1 if rng.random() < traces[base] / sub else -1
-        idx = base + (0 if out_b == 1 else 1)
-        if traces[idx] < 1e-15:
-            raise ImpossibleOutcomeError("selected measurement branch is impossible")
-        return out_a, out_b, branches[idx] / traces[idx]
 
 
 @lru_cache(maxsize=8)
@@ -334,6 +273,7 @@ def _opt_blind_trial(kernel: _Kernel, n_steps: int, rng, trace: _Trace) -> Trial
     link = kernel.link
     eta = kernel.p_photon
     noise = kernel.noise
+    maps = _step_branch_maps(noise.p_g, noise.p_m)
     gate_time, measure_time = link.gate_time, link.measure_time
     op_dur = gate_time + measure_time
     period = kernel.period
@@ -376,7 +316,7 @@ def _opt_blind_trial(kernel: _Kernel, n_steps: int, rng, trace: _Trace) -> Trial
             trace.decohered(0, tau_end - last_touch)
             sac = decohere(register_from_pair(kernel.werner, 0), (0, 1), tau_end - a_sac, noise).rho
             trace.decohered(step, tau_end - a_sac)
-            out_a, out_b, post = kernel.step(main, sac, rng)
+            out_a, out_b, post, _ = _pump_step(maps, main, sac, rng)
             if trace.live:
                 trace.event(tau_end, "AB", "purify_step", f"step={step} a={out_a:+d} b={out_b:+d}")
             trace.closed(step, tau_end)
@@ -402,7 +342,8 @@ class _Step:
     """One fused pumping step: sacrifice `pair` to purify `main`.
 
     Rotations, bilateral CNOT and Z-coincidence check all act at the measure
-    instant, through _Kernel.step. Only Pumping compiles to this instruction.
+    instant, through purify._pump_step. Only Pumping compiles to this
+    instruction.
     """
 
     main: int
@@ -475,6 +416,8 @@ def _timed_trial(
     gate_time = kernel.link.gate_time
     measure_time = kernel.link.measure_time
     noise = kernel.noise
+    # pumping circuits consist of _STEP entries only, and only they need maps
+    maps = _step_branch_maps(noise.p_g, noise.p_m) if program[0][0] == _STEP else None
     werner = kernel.werner
     live = trace.live
     audit = trace.audit is not None
@@ -546,7 +489,7 @@ def _timed_trial(
 
             if code == _STEP:
                 m = operands[0]
-                out_a, out_b, lone[m] = kernel.step(lone[m], lone[p], rng)
+                out_a, out_b, lone[m], _ = _pump_step(maps, lone[m], lone[p], rng)
                 kept = out_a == out_b
                 if live:
                     trace.event(tau_end, "AB", "purify_step", f"step={steps + 1} a={out_a:+d} b={out_b:+d}")

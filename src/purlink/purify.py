@@ -1,13 +1,14 @@
 """Purification mechanics.
 
-One DEJMPS pumping step on the joint density matrix, a small circuit DSL
-for externally supplied purification circuits, and the analytic
+The DEJMPS pumping step kernel that every timed engine runs, a small
+circuit DSL for externally supplied purification circuits, and the analytic
 Bell-diagonal recurrence oracle the simulator is tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import count
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Union
@@ -17,12 +18,14 @@ import numpy as np
 from .channels import (
     CNOT,
     TWO_QUBIT_GATES,
+    ImpossibleOutcomeError,
     NoiseParams,
     PairRegister,
     apply_unitary,
     depolarize_gate,
     extract_pair,
     join,
+    measurement_branches,
     noisy_measure,
     register_from_pair,
 )
@@ -73,6 +76,55 @@ def _measure_pair(
     return out_a, out_b, reg, prob_a * prob_b
 
 
+# The pumping step is linear in the joint 16x16 input, so its four (alice,
+# bob) outcome branches are fixed 16->4 dimensional superoperators, built once
+# per (p_g, p_m) through the register channels. run_circuit on dejmps.circuit
+# runs the same step on the dense register.
+
+@lru_cache(maxsize=16)
+def _step_branch_maps(p_g: float, p_m: float) -> np.ndarray:
+    r16 = np.kron(ROT_PAIR, ROT_PAIR)
+    maps = np.empty((4, 16, 256), dtype=complex)
+    for row in range(16):
+        for col in range(16):
+            basis = np.zeros((16, 16), dtype=complex)
+            basis[row, col] = 1.0
+            reg = PairRegister(r16 @ basis @ r16.conj().T, ((0, "A"), (0, "B"), (1, "A"), (1, "B")))
+            reg = depolarize_gate(reg, CNOT, (0, 2), p_g)
+            reg = depolarize_gate(reg, CNOT, (1, 3), p_g)
+            # Alice's sacrificial qubit, then Bob's (now at index 2); the
+            # branch order (+1, +1), (+1, -1), (-1, +1), (-1, -1) is _pump_step's
+            for ia, rho_a in enumerate(measurement_branches(reg.rho, 2, 4, "Z", p_m)):
+                for ib, rho_b in enumerate(measurement_branches(rho_a, 2, 3, "Z", p_m)):
+                    maps[2 * ia + ib, :, row * 16 + col] = rho_b.reshape(-1)
+    return maps.reshape(64, 256)
+
+
+_DIAG = np.arange(4)
+
+
+def _pump_step(
+    maps: np.ndarray, main: TwoQubitState, sac: TwoQubitState, rng
+) -> tuple[int, int, TwoQubitState, float]:
+    """Sample a step (Alice's uniform, then Bob's): (out_a, out_b, post, prob)."""
+    joint = (main[:, None, :, None] * sac[None, :, None, :]).reshape(-1)
+    branches = (maps @ joint).reshape(4, 4, 4)
+    traces = branches[:, _DIAG, _DIAG].sum(axis=1).real
+    total = traces.sum()
+    if total < 1e-15:
+        raise ImpossibleOutcomeError("all step branches have vanishing probability")
+    out_a = 1 if rng.random() < (traces[0] + traces[1]) / total else -1
+    base = 0 if out_a == 1 else 2
+    sub = traces[base] + traces[base + 1]
+    if sub < 1e-15:
+        raise ImpossibleOutcomeError("selected measurement branch is impossible")
+    out_b = 1 if rng.random() < traces[base] / sub else -1
+    idx = base + (0 if out_b == 1 else 1)
+    if traces[idx] < 1e-15:
+        raise ImpossibleOutcomeError("selected measurement branch is impossible")
+    return out_a, out_b, branches[idx] / traces[idx], float(traces[idx] / total)
+
+
 def dejmps_step(
     main: TwoQubitState, sac: TwoQubitState, noise: NoiseParams, rng
 ) -> StepOutcome:
@@ -82,14 +134,11 @@ def dejmps_step(
     qubits onto the sacrificial ones through the depolarizing gate channel,
     and the sacrificial qubits are Z-measured with imperfect projection.
     Success is coincidence (equal outcomes); post_state is the conditioned
-    main pair either way.
+    main pair either way. It samples through _pump_step, the kernel that
+    the timed engines run.
     """
-    reg = join(register_from_pair(main, 0), register_from_pair(sac, 1))
-    reg = _rotate_pair(reg, 0)
-    reg = _rotate_pair(reg, 1)
-    reg = _bilateral_gate(reg, CNOT, 0, 1, noise.p_g)
-    out_a, out_b, reg, prob = _measure_pair(reg, 1, "Z", noise.p_m, rng)
-    return StepOutcome(out_a == out_b, out_a, out_b, extract_pair(reg, 0), prob)
+    out_a, out_b, post, prob = _pump_step(_step_branch_maps(noise.p_g, noise.p_m), main, sac, rng)
+    return StepOutcome(out_a == out_b, out_a, out_b, post, prob)
 
 
 def bell_recurrence_oracle(
@@ -257,14 +306,16 @@ def parse_circuit(text: str) -> PurificationCircuit:
         raise CircuitError("missing PAIRS line")
     # A trailing pair may go untouched (it is then the survivor); anything
     # beyond that leaves two pairs unmeasured and fails the check below.
-    survivors = [p for p in range(num_pairs) if p not in measured]
-    if len(survivors) != 1:
+    # Counting, not listing, keeps a huge PAIRS count cheap to reject.
+    n_survivors = num_pairs - len(measured)
+    if n_survivors != 1:
         raise CircuitError(
-            f"exactly one pair must survive unmeasured, found {len(survivors)}"
+            f"exactly one pair must survive unmeasured, found {n_survivors}"
         )
+    survivor = next((p for p in referenced if p not in measured), len(referenced))
     # The survivor holds a slot even if no instruction ever touches it.
     return PurificationCircuit(
-        num_pairs, tuple(instructions), survivors[0], max(max_live, 1)
+        num_pairs, tuple(instructions), survivor, max(max_live, 1)
     )
 
 

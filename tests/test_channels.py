@@ -25,8 +25,7 @@ from purlink.channels import (
     satellite_transmissivity,
 )
 from purlink.channels import _damping_lambda, _dephasing_pz
-from purlink.protocols import _step_branch_maps
-from purlink.purify import ROT_ALICE, ROT_BOB, ROT_PAIR, _rotate_pair
+from purlink.purify import ROT_ALICE, ROT_BOB, ROT_PAIR, _rotate_pair, _step_branch_maps
 from purlink.states import (
     I2,
     PAULIS,

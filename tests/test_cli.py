@@ -173,6 +173,39 @@ def test_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def with_key(text, key, value):
+    kept = [line for line in text.splitlines() if line.partition("=")[0].strip() != key]
+    return "\n".join(kept + [f"{key} = {value}"]) + "\n"
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("mu_hz", "nan"),
+        ("gate_time_s", "nan"),
+        ("c_fiber_km_s", "nan"),
+        ("d_km", "nan"),
+        ("ci_target", "nan"),
+        ("t2_s", "nan"),
+        ("mu_hz", "inf"),
+        ("gate_time_s", "inf"),
+        ("measure_time_s", "inf"),
+        ("seed", "-3"),
+    ],
+)
+def test_non_finite_numbers_and_negative_seed_are_config_errors(tmp_path, capsys, key, value):
+    path = cfg_file(tmp_path, with_key(FAST + "protocols = BASE\n", key, value))
+    assert main(["simulate", path]) == 2
+    assert f"invalid value for '{key}'" in capsys.readouterr().err
+
+
+def test_infinite_memory_times_still_parse():
+    cfg = parse_config(MINIMAL + "t1_s = inf\nt2_s = inf\n")
+    assert cfg.noise.t1 == cfg.noise.t2 == math.inf
+    swept = parse_config(MINIMAL + "t1_s = inf\nsweep_param = t2_s\nsweep_values = 1.0, inf\n")
+    assert swept.axes == (("t2_s", (1.0, math.inf)),)
+
+
 @pytest.mark.parametrize(
     "axes,key",
     [
@@ -184,8 +217,10 @@ def test_exit_codes(tmp_path, capsys):
             "sweep_param2 = mu_hz\nsweep_values2 = 1e6, 0\n",
             "sweep_values2",
         ),
+        ("sweep_param = mu_hz\nsweep_values = nan\n", "sweep_values"),
+        ("sweep_param = mu_hz\nsweep_values = inf\n", "sweep_values"),
     ],
-    ids=["f0", "d_km", "t2_above_2t1", "mu_hz_second_axis"],
+    ids=["f0", "d_km", "t2_above_2t1", "mu_hz_second_axis", "mu_hz_nan", "mu_hz_inf"],
 )
 def test_out_of_domain_sweep_values_are_config_errors(tmp_path, capsys, axes, key):
     path = cfg_file(tmp_path, FAST + "protocols = NOP\nn_steps = 0\n" + axes)
@@ -255,10 +290,14 @@ def test_flag_overrides_validate(tmp_path, capsys):
     path = cfg_file(tmp_path, FAST + "protocols = NOP\nn_steps = 0\n")
     assert main(["simulate", path, "--trials-min", "50"]) == 2
     assert main(["simulate", path, "--ci-target", "-1"]) == 2
+    assert main(["simulate", path, "--ci-target", "nan"]) == 2
     assert main(["simulate", path, "--max-trials", "50"]) == 2
     # the config's max_trials = 100 no longer covers the raised minimum
     assert main(["simulate", path, "--trials-min", "200"]) == 2
     capsys.readouterr()
+    for extra in ((), ("--threads", "2")):
+        assert main(["simulate", path, "--seed", "-2", *extra]) == 2
+        assert "invalid value for 'seed'" in capsys.readouterr().err
 
 
 # --- simulate ---
@@ -338,7 +377,7 @@ def test_sweep_two_axes_cross_product(tmp_path):
     ]
 
 
-def test_sweep_csv_byte_identical_across_runs_and_threads(tmp_path):
+def test_sweep_csv_byte_identical_across_runs_and_threads(tmp_path, capsys):
     text = MINIMAL + (
         "trials_min = 120\nmax_trials = 120\nseed = 5\n"
         "sweep_param = n_steps\nsweep_values = 0, 2\n"
@@ -348,6 +387,22 @@ def test_sweep_csv_byte_identical_across_runs_and_threads(tmp_path):
     threaded = sweep_csv(tmp_path, text, "c.csv", extra=("--threads", "3"))
     assert first == again
     assert first == threaded
+    # heatmap and simulate run their cells through the same grid runner
+    heat = cfg_file(tmp_path, FAST + (
+        "sweep_param = f0\nsweep_values = 0.85, 0.9\nsweep_param2 = t2_s\nsweep_values2 = 0.1\n"
+    ), "heat.cfg")
+    maps = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"heat{threads}.csv"
+        assert main(["heatmap", heat, str(out), "--threads", threads]) == 0
+        maps.append(out.read_bytes())
+    assert maps[0] == maps[1]
+    single = cfg_file(tmp_path, FAST, "single.cfg")
+    tables = []
+    for threads in ("1", "2"):
+        assert main(["simulate", single, "--threads", threads]) == 0
+        tables.append(capsys.readouterr().out)
+    assert tables[0] == tables[1]
 
 
 def test_pool_leaves_blas_thread_variables_as_found(tmp_path, monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from importlib import resources
 
 import numpy as np
@@ -340,6 +341,19 @@ def test_parse_errors(text, needle):
     with pytest.raises(CircuitError) as err:
         parse_circuit(text)
     assert needle in str(err.value)
+
+
+def test_huge_pair_count_is_rejected_in_small_memory():
+    text = DEJMPS_TEXT.replace("PAIRS 2", "PAIRS 1000000")
+    tracemalloc.start()
+    try:
+        with pytest.raises(CircuitError) as err:
+            parse_circuit(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert "exactly one pair must survive unmeasured, found 999999" in str(err.value)
+    assert peak < 1 << 20
 
 
 def test_circuit_type_is_frozen():

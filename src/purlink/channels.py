@@ -5,7 +5,9 @@ and the fiber / free-space transmissivities. All channel functions are pure:
 they take a register and return a new one.
 
 Gates, rotations and measurements contract the register over only the qubits
-they act on; no 2^n x 2^n operator is built. The embedding helpers of states
+they act on; no 2^n x 2^n operator is built. decohere is the memory channel
+of a register; pair_decohere is the same channel on a lone pair held in
+Pauli transfer form (see states.to_pauli). The embedding helpers of states
 (embed_single, embed_two, insert_mixed) and the Kraus ops amplitude_damp and
 dephase are the dense test oracle of these channels.
 """
@@ -284,6 +286,13 @@ def dephase(reg: PairRegister, qubit: int, t: float, t1: float, t2: float) -> Pa
     return PairRegister(rho, reg.qubits)
 
 
+def _memory_decay(dt: float, noise: NoiseParams) -> tuple[float, float]:
+    """(lam, c) of the memory channel: the damping and the coherence factor."""
+    lam = _damping_lambda(dt, noise.t1)
+    p_z = _dephasing_pz(dt, noise.t1, noise.t2)
+    return lam, math.sqrt(1.0 - lam) * (1.0 - 2.0 * p_z)
+
+
 def decohere(
     reg: PairRegister, qubits: tuple[int, ...] | list[int], dt: float, noise: NoiseParams
 ) -> PairRegister:
@@ -297,9 +306,7 @@ def decohere(
         raise ValueError(f"negative duration {dt}")
     if dt == 0.0:
         return reg
-    lam = _damping_lambda(dt, noise.t1)
-    p_z = _dephasing_pz(dt, noise.t1, noise.t2)
-    c = math.sqrt(1.0 - lam) * (1.0 - 2.0 * p_z)
+    lam, c = _memory_decay(dt, noise)
     mask = np.array([[1.0, c], [c, 1.0 - lam]]).reshape(1, 2, 1, 2, 1)
     rho = np.array(reg.rho, dtype=complex)
     n = reg.n_qubits
@@ -309,6 +316,28 @@ def decohere(
         view[:, 0, :, 0, :] += lam * view[:, 1, :, 1, :]
         view *= mask
     return PairRegister(rho, reg.qubits)
+
+
+_EYE4 = np.eye(4)
+
+
+def pair_decohere(r: np.ndarray, dt: float, noise: NoiseParams) -> np.ndarray:
+    """decohere on both qubits of a lone pair held in Pauli transfer form.
+
+    On one qubit's (I, X, Y, Z) coefficients the channel is
+    T = [[1, 0, 0, 0], [0, c, 0, 0], [0, 0, c, 0], [lam, 0, 0, 1-lam]], with
+    lam and c as in decohere, so the pair maps to T R T^T. decohere on the
+    pair's register is its oracle.
+    """
+    if dt < 0:
+        raise ValueError(f"negative duration {dt}")
+    if dt == 0.0:
+        return r
+    lam, c = _memory_decay(dt, noise)
+    t = _EYE4.copy()
+    t[1, 1] = t[2, 2] = c
+    t[3, 0], t[3, 3] = lam, 1.0 - lam
+    return np.dot(np.dot(t, r), t.T)
 
 
 # ---------------------------------------------------------------------------

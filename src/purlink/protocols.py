@@ -17,6 +17,13 @@ A trial simulates from empty memories to one accepted pair. Storage
 decoherence is applied to every stored qubit for every interval between the
 events that touch it.
 
+A pair held on its own (every pair of a pumping trial, and a circuit's pairs
+until a gate entangles them) is a real 4x4 Pauli transfer matrix
+(states.to_pauli): it decoheres through channels.pair_decohere, rotates by a
+signed permutation and is pumped by purify._pump_step. Pairs joined by a
+gate live in a dense complex register. TrialResult.output_state is always a
+4x4 density matrix, converted once at delivery.
+
 Every trial except the blind OPT pipeline (_opt_blind_trial) runs in
 _timed_trial, which executes a purification circuit; Pumping(n) is compiled
 into a circuit of n fused steps, and raw delivery (NOP, whatever the scheme)
@@ -28,7 +35,7 @@ source ticks. The engine keeps two timing rules, one per instruction form:
   soon as its operands are usable and the local timeline is free, so a
   rotation acts when its pair becomes usable.
   A pumping step applies rotations, CNOTs and measurement at the measure
-  instant, through the precomputed branch maps of purify._pump_step.
+  instant, through the gather tables of purify._pump_step.
 
 Rotations do not commute with dephasing, so under memory noise Pumping(1)
 and dejmps.circuit are not interchangeable: on identical clocks their
@@ -50,6 +57,7 @@ from .channels import (
     decohere,
     extract_pair,
     join,
+    pair_decohere,
     register_from_pair,
 )
 from .linkmodel import LinkConfig, attempt_success_prob, link_delays, per_photon_survival
@@ -58,14 +66,14 @@ from .purify import (
     Measure,
     PurificationCircuit,
     Rot,
-    ROT_PAIR,
     _bilateral_gate,
     _measure_pair,
     _pump_step,
     _rotate_pair,
-    _step_branch_maps,
+    _rotate_pauli,
+    _step_tables,
 )
-from .states import TwoQubitState, make_werner
+from .states import TwoQubitState, from_pauli, make_werner, to_pauli
 
 PROTOCOL_NAMES = ("NOP", "BASE", "HOPT", "OPT")
 
@@ -135,8 +143,8 @@ def expected_nop_time(link: LinkConfig) -> float:
 class _Kernel:
     """Per-configuration machinery shared by all trials of one cell.
 
-    It keeps no memory-channel state: lone pairs and registers alike
-    decohere through channels.decohere, the one closed-form memory channel.
+    It keeps no memory-channel state. werner is the source pair in Pauli
+    form, diag(1, w, -w, w) with w = (4 f0 - 1) / 3.
     """
 
     def __init__(self, link: LinkConfig, noise: NoiseParams):
@@ -144,7 +152,7 @@ class _Kernel:
         self.noise = noise
         self.period, self.photon_delay, self.herald_delay = link_delays(link)
         self.p_photon = per_photon_survival(link)
-        self.werner = make_werner(link.f0)
+        self.werner = to_pauli(make_werner(link.f0))
         self.werner.setflags(write=False)  # shared by every trial of the cell
 
     # -- timing helpers ----------------------------------------------------
@@ -273,7 +281,7 @@ def _opt_blind_trial(kernel: _Kernel, n_steps: int, rng, trace: _Trace) -> Trial
     link = kernel.link
     eta = kernel.p_photon
     noise = kernel.noise
-    maps = _step_branch_maps(noise.p_g, noise.p_m)
+    tables = _step_tables(noise.p_g, noise.p_m)
     gate_time, measure_time = link.gate_time, link.measure_time
     op_dur = gate_time + measure_time
     period = kernel.period
@@ -312,11 +320,11 @@ def _opt_blind_trial(kernel: _Kernel, n_steps: int, rng, trace: _Trace) -> Trial
             a_sac = kernel.arrival(ticks[step])
             trace.born(step, a_sac)
             tau_end = a_sac + gate_time + measure_time
-            main = decohere(register_from_pair(main, 0), (0, 1), tau_end - last_touch, noise).rho
+            main = pair_decohere(main, tau_end - last_touch, noise)
             trace.decohered(0, tau_end - last_touch)
-            sac = decohere(register_from_pair(kernel.werner, 0), (0, 1), tau_end - a_sac, noise).rho
+            sac = pair_decohere(kernel.werner, tau_end - a_sac, noise)
             trace.decohered(step, tau_end - a_sac)
-            out_a, out_b, post, _ = _pump_step(maps, main, sac, rng)
+            out_a, out_b, post, _ = _pump_step(tables, main, sac, rng)
             if trace.live:
                 trace.event(tau_end, "AB", "purify_step", f"step={step} a={out_a:+d} b={out_b:+d}")
             trace.closed(step, tau_end)
@@ -327,7 +335,7 @@ def _opt_blind_trial(kernel: _Kernel, n_steps: int, rng, trace: _Trace) -> Trial
         trace.closed(0, tau_end)
         if matched:
             trace.event(tau_end, "AB", "delivered", "pair=0")
-            return TrialResult(tau_end, main, pairs, n_steps, rounds - 1)
+            return TrialResult(tau_end, from_pauli(main), pairs, n_steps, rounds - 1)
         if trace.live:
             trace.event(tau_end, "AB", "round_filtered", "cause=outcome")
         trace.teardown()
@@ -357,7 +365,6 @@ def _pumping_circuit(n_steps: int) -> PurificationCircuit:
 
 
 _ROT, _GATE, _MEASURE, _STEP, _DELIVER = range(5)
-_ROT_PAIR_H = ROT_PAIR.conj().T
 
 
 @lru_cache(maxsize=32)
@@ -393,9 +400,11 @@ def _timed_trial(
 ) -> TrialResult:
     """Run circuit episodes from empty memories until one delivers.
 
-    Each pair is held as a lone 4x4 state until a GATE joins it into the
-    dense register; a MEASURE that leaves one pair in the register returns
-    it to lone form. Pairs take memory slots in arrival order; a slot frees
+    Each pair is held as a lone pair in Pauli transfer form until a GATE
+    joins it into the dense register; a MEASURE that leaves one pair in the
+    register returns it to lone form. A lone pair is converted to a dense
+    state only where it meets dense code: at a GATE join, at a lone MEASURE
+    and at delivery. Pairs take memory slots in arrival order; a slot frees
     at the measurement of the pair holding it, and under BASE a new pair is
     also held back until every earlier outcome is checked. A lost photon
     (OPT), a mismatch (without measure_before_confirm) or a filtered
@@ -416,8 +425,8 @@ def _timed_trial(
     gate_time = kernel.link.gate_time
     measure_time = kernel.link.measure_time
     noise = kernel.noise
-    # pumping circuits consist of _STEP entries only, and only they need maps
-    maps = _step_branch_maps(noise.p_g, noise.p_m) if program[0][0] == _STEP else None
+    # pumping circuits consist of _STEP entries only, and only they need tables
+    tables = _step_tables(noise.p_g, noise.p_m) if program[0][0] == _STEP else None
     werner = kernel.werner
     live = trace.live
     audit = trace.audit is not None
@@ -426,7 +435,7 @@ def _timed_trial(
     while True:
         usable = [0.0] * n_pairs  # local time from which each pair may be used
         touched = [0.0] * n_pairs  # time each pair is decohered up to
-        lone: list = [None] * n_pairs  # pairs held outside the register
+        lone: list = [None] * n_pairs  # Pauli form of pairs outside the register
         reg: Optional[PairRegister] = None
         slot_free = [0.0] * n_slots  # min-heap of slot release times
         k_last = kernel.tick_from_emission(ref) - 1
@@ -477,7 +486,7 @@ def _timed_trial(
                 dt = tau_end - touched[p]
                 if dt > 0.0:
                     if lone[p] is not None:
-                        lone[p] = decohere(register_from_pair(lone[p], 0), (0, 1), dt, noise).rho
+                        lone[p] = pair_decohere(lone[p], dt, noise)
                     else:
                         qubits = (reg.qubit_index(p, "A"), reg.qubit_index(p, "B"))
                         reg = decohere(reg, qubits, dt, noise)
@@ -489,7 +498,7 @@ def _timed_trial(
 
             if code == _STEP:
                 m = operands[0]
-                out_a, out_b, lone[m], _ = _pump_step(maps, lone[m], lone[p], rng)
+                out_a, out_b, lone[m], _ = _pump_step(tables, lone[m], lone[p], rng)
                 kept = out_a == out_b
                 if live:
                     trace.event(tau_end, "AB", "purify_step", f"step={steps + 1} a={out_a:+d} b={out_b:+d}")
@@ -498,11 +507,11 @@ def _timed_trial(
                     out_a, out_b, reg, _ = _measure_pair(reg, p, arg.basis, noise.p_m, rng)
                     if reg.n_qubits == 2:  # one pair left: back to lone form
                         q = reg.qubits[0][0]
-                        lone[q] = extract_pair(reg, q)
+                        lone[q] = to_pauli(extract_pair(reg, q))
                         reg = None
                 else:
                     out_a, out_b, _, _ = _measure_pair(
-                        register_from_pair(lone[p], p), p, arg.basis, noise.p_m, rng
+                        register_from_pair(from_pauli(lone[p]), p), p, arg.basis, noise.p_m, rng
                     )
                 kept = (out_a == out_b) == arg.keep_equal
                 if live:
@@ -510,13 +519,13 @@ def _timed_trial(
             else:
                 if code == _ROT:
                     if lone[p] is not None:
-                        lone[p] = ROT_PAIR @ lone[p] @ _ROT_PAIR_H
+                        lone[p] = _rotate_pauli(lone[p])
                     else:
                         reg = _rotate_pair(reg, p)
                 else:  # GATE: both operands join the register
                     for q in operands:
                         if lone[q] is not None:
-                            joined = register_from_pair(lone[q], q)
+                            joined = register_from_pair(from_pauli(lone[q]), q)
                             reg = joined if reg is None else join(reg, joined)
                             lone[q] = None
                     reg = _bilateral_gate(reg, arg, operands[0], operands[1], noise.p_g)
@@ -554,7 +563,7 @@ def _timed_trial(
                     trace.message(t_local, "A", Message(t_local, t_local + herald, "final_confirm"))
             if restart is None:
                 dt = completion - touched[survivor]
-                state = decohere(register_from_pair(lone[survivor], 0), (0, 1), dt, noise).rho
+                state = from_pauli(pair_decohere(lone[survivor], dt, noise))
                 if audit:
                     trace.decohered(survivor, dt)
                     trace.closed(survivor, completion)

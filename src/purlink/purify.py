@@ -3,6 +3,10 @@
 The DEJMPS pumping step kernel that every timed engine runs, a small
 circuit DSL for externally supplied purification circuits, and the analytic
 Bell-diagonal recurrence oracle the simulator is tested against.
+
+The step kernel works on pairs in Pauli transfer form (states.to_pauli)
+through gather tables built in closed form per (p_g, p_m); the DSL
+instructions act on dense registers.
 """
 
 from __future__ import annotations
@@ -25,11 +29,10 @@ from .channels import (
     depolarize_gate,
     extract_pair,
     join,
-    measurement_branches,
     noisy_measure,
     register_from_pair,
 )
-from .states import BellCoeffs, I2, PAULI_X, TwoQubitState
+from .states import BellCoeffs, I2, PAULI_X, TwoQubitState, from_pauli, pauli_image, to_pauli
 
 # Bilateral twirl rotations: Alice rotates +pi/2 about X, Bob -pi/2. Which
 # side takes which sign is conventionally arbitrary; Alice gets the plus.
@@ -76,41 +79,79 @@ def _measure_pair(
     return out_a, out_b, reg, prob_a * prob_b
 
 
-# The pumping step is linear in the joint 16x16 input, so its four (alice,
-# bob) outcome branches are fixed 16->4 dimensional superoperators, built once
-# per (p_g, p_m) through the register channels. run_circuit on dejmps.circuit
-# runs the same step on the dense register.
+# Lone pairs are held in Pauli transfer form (states.to_pauli). The step's
+# rotations and CNOTs are Clifford, so each maps a Pauli string to one signed
+# Pauli string; a depolarizing CNOT also scales every string that is not I on
+# both its qubits by p_g, and a Z measurement traces out X and Y on the
+# measured qubit and reads a Z as the outcome times 2 p_m - 1. The step is
+# therefore linear in main (x) sac with at most one input string per output.
+
+# Signed permutations of the 16 two-qubit Pauli strings, index 4 i + j.
+_ROT_INDEX, _ROT_SIGN = pauli_image(ROT_PAIR)
+_CNOT_INDEX, _CNOT_SIGN = pauli_image(CNOT)
+# gather form of the rotation: the source string of each output string
+_ROT_SRC = np.argsort(_ROT_INDEX)
+_ROT_SRC_SIGN = _ROT_SIGN[_ROT_SRC]
+
+
+def _rotate_pauli(r: np.ndarray) -> np.ndarray:
+    """The bilateral DEJMPS rotation of a lone pair in Pauli form."""
+    return (r.reshape(16)[_ROT_SRC] * _ROT_SRC_SIGN).reshape(4, 4)
+
 
 @lru_cache(maxsize=16)
-def _step_branch_maps(p_g: float, p_m: float) -> np.ndarray:
-    r16 = np.kron(ROT_PAIR, ROT_PAIR)
-    maps = np.empty((4, 16, 256), dtype=complex)
-    for row in range(16):
-        for col in range(16):
-            basis = np.zeros((16, 16), dtype=complex)
-            basis[row, col] = 1.0
-            reg = PairRegister(r16 @ basis @ r16.conj().T, ((0, "A"), (0, "B"), (1, "A"), (1, "B")))
-            reg = depolarize_gate(reg, CNOT, (0, 2), p_g)
-            reg = depolarize_gate(reg, CNOT, (1, 3), p_g)
-            # Alice's sacrificial qubit, then Bob's (now at index 2); the
-            # branch order (+1, +1), (+1, -1), (-1, +1), (-1, -1) is _pump_step's
-            for ia, rho_a in enumerate(measurement_branches(reg.rho, 2, 4, "Z", p_m)):
-                for ib, rho_b in enumerate(measurement_branches(rho_a, 2, 3, "Z", p_m)):
-                    maps[2 * ia + ib, :, row * 16 + col] = rho_b.reshape(-1)
-    return maps.reshape(64, 256)
+def _step_tables(p_g: float, p_m: float) -> tuple[np.ndarray, ...]:
+    """Gather tables (main_idx, sac_idx, gate, read) of the pumping step.
 
-
-_DIAG = np.arange(4)
+    Entry (o, z) of the first three names the main and sacrificial input
+    strings that reach output string o of the main pair with the sacrificial
+    qubits reading z in (II, IZ, ZI, ZZ), and the signed gate-noise factor
+    of that path. read[z, b] is the measurement factor of pattern z in
+    outcome branch b, ordered (+1, +1), (+1, -1), (-1, +1), (-1, -1) for
+    (Alice, Bob), so branch b of output o is sum_z gate * read * main * sac.
+    Built in closed form from the Pauli images of ROT_PAIR and CNOT.
+    """
+    main_idx = np.zeros((16, 4), dtype=np.intp)
+    sac_idx = np.zeros((16, 4), dtype=np.intp)
+    gate = np.zeros((16, 4))
+    for m in range(16):
+        a, b = divmod(int(_ROT_INDEX[m]), 4)
+        for s in range(16):
+            c, d = divmod(int(_ROT_INDEX[s]), 4)
+            # CNOT from main to sac on Alice's qubits, then on Bob's
+            oa, oc = divmod(int(_CNOT_INDEX[4 * a + c]), 4)
+            ob, od = divmod(int(_CNOT_INDEX[4 * b + d]), 4)
+            if oc in (1, 2) or od in (1, 2):
+                continue  # X or Y on a measured qubit traces to zero
+            coef = _ROT_SIGN[m] * _ROT_SIGN[s] * _CNOT_SIGN[4 * a + c] * _CNOT_SIGN[4 * b + d]
+            if a or c:
+                coef *= p_g
+            if b or d:
+                coef *= p_g
+            o, z = 4 * oa + ob, 2 * (oc == 3) + (od == 3)
+            main_idx[o, z], sac_idx[o, z], gate[o, z] = m, s, coef
+    # each measured qubit halves the coefficient; its Z reads outcome * e
+    e = 2.0 * p_m - 1.0
+    read = np.array([
+        [0.25 * (out_a * e) ** za * (out_b * e) ** zb for out_a in (1, -1) for out_b in (1, -1)]
+        for za in (0, 1) for zb in (0, 1)
+    ])
+    return main_idx, sac_idx, gate, read
 
 
 def _pump_step(
-    maps: np.ndarray, main: TwoQubitState, sac: TwoQubitState, rng
-) -> tuple[int, int, TwoQubitState, float]:
-    """Sample a step (Alice's uniform, then Bob's): (out_a, out_b, post, prob)."""
-    joint = (main[:, None, :, None] * sac[None, :, None, :]).reshape(-1)
-    branches = (maps @ joint).reshape(4, 4, 4)
-    traces = branches[:, _DIAG, _DIAG].sum(axis=1).real
-    total = traces.sum()
+    tables: tuple, main: np.ndarray, sac: np.ndarray, rng
+) -> tuple[int, int, np.ndarray, float]:
+    """Sample a step on Pauli-form pairs (Alice's uniform, then Bob's).
+
+    Returns (out_a, out_b, post, prob) with post in Pauli form. Column b of
+    branches is branch b's unnormalized state; its weight is the identity
+    coefficient, row 0.
+    """
+    main_idx, sac_idx, gate, read = tables
+    branches = np.dot(gate * main.take(main_idx) * sac.take(sac_idx), read)
+    traces = branches[0].tolist()
+    total = sum(traces)
     if total < 1e-15:
         raise ImpossibleOutcomeError("all step branches have vanishing probability")
     out_a = 1 if rng.random() < (traces[0] + traces[1]) / total else -1
@@ -122,7 +163,7 @@ def _pump_step(
     idx = base + (0 if out_b == 1 else 1)
     if traces[idx] < 1e-15:
         raise ImpossibleOutcomeError("selected measurement branch is impossible")
-    return out_a, out_b, branches[idx] / traces[idx], float(traces[idx] / total)
+    return out_a, out_b, (branches[:, idx] / traces[idx]).reshape(4, 4), traces[idx] / total
 
 
 def dejmps_step(
@@ -135,10 +176,11 @@ def dejmps_step(
     and the sacrificial qubits are Z-measured with imperfect projection.
     Success is coincidence (equal outcomes); post_state is the conditioned
     main pair either way. It samples through _pump_step, the kernel that
-    the timed engines run.
+    the timed engines run, converting to and from Pauli form at the call.
     """
-    out_a, out_b, post, prob = _pump_step(_step_branch_maps(noise.p_g, noise.p_m), main, sac, rng)
-    return StepOutcome(out_a == out_b, out_a, out_b, post, prob)
+    tables = _step_tables(noise.p_g, noise.p_m)
+    out_a, out_b, post, prob = _pump_step(tables, to_pauli(main), to_pauli(sac), rng)
+    return StepOutcome(out_a == out_b, out_a, out_b, from_pauli(post), prob)
 
 
 def bell_recurrence_oracle(

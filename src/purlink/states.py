@@ -5,6 +5,11 @@ with qubit order Alice tensor Bob. The Bell basis is fixed everywhere as
 (phi+, psi-, psi+, phi-); keeping one ordering avoids silent coefficient
 permutations between the simulator and the analytic recurrence oracle.
 
+A pair held on its own is stored in Pauli transfer form instead: the real
+4x4 matrix R[i, j] = Tr(rho sigma_i (x) sigma_j) with sigma in the order
+(I, X, Y, Z). to_pauli and from_pauli convert, and pauli_image gives the
+signed permutation a two-qubit Clifford makes of the 16 Pauli strings.
+
 The n-qubit helpers at the end serve two roles: trace_out is used by the
 channels, while embed_single, embed_two and insert_mixed build full 2^n x 2^n
 operators and are only the dense test oracle of the register channels, which
@@ -90,6 +95,35 @@ def check_state(rho: np.ndarray, tol: float = 1e-9) -> None:
         raise ValueError(f"state trace is {np.trace(rho).real}, expected 1")
     if np.linalg.eigvalsh(rho).min() < -tol:
         raise ValueError("state has a negative eigenvalue")
+
+
+# ---------------------------------------------------------------------------
+# Pauli transfer form of a pair: rho = sum_ij R[i, j] sigma_i (x) sigma_j / 4.
+# The flat index of sigma_i (x) sigma_j is 4 i + j.
+
+PAULI_ORDER = "IXYZ"
+_PAULI_PAIRS = np.array([np.kron(PAULIS[a], PAULIS[b]) for a in PAULI_ORDER for b in PAULI_ORDER])
+# Tr(rho P) = sum_ab rho[a, b] P[b, a], so row k of _TO_PAULI is P_k^T flattened
+_TO_PAULI = _PAULI_PAIRS.transpose(0, 2, 1).reshape(16, 16)
+_FROM_PAULI = _PAULI_PAIRS.reshape(16, 16).T / 4.0
+
+
+def to_pauli(rho: TwoQubitState) -> np.ndarray:
+    """Pauli coefficients R[i, j] = Tr(rho sigma_i (x) sigma_j) of a 4x4 state."""
+    return (_TO_PAULI @ rho.reshape(16)).real.reshape(4, 4)
+
+
+def from_pauli(r: np.ndarray) -> TwoQubitState:
+    """The 4x4 density matrix with Pauli coefficients r (inverse of to_pauli)."""
+    return (_FROM_PAULI @ r.reshape(16)).reshape(4, 4)
+
+
+def pauli_image(unitary: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(index, sign) with U P_k U^+ = sign[k] P_index[k] for a two-qubit Clifford U."""
+    conj = unitary @ _PAULI_PAIRS @ unitary.conj().T
+    coeffs = np.einsum("mab,kba->km", _PAULI_PAIRS, conj).real / 4.0
+    index = np.abs(coeffs).argmax(axis=1)
+    return index, np.rint(coeffs[np.arange(16), index])
 
 
 # ---------------------------------------------------------------------------

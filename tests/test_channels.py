@@ -21,11 +21,12 @@ from purlink.channels import (
     join,
     measurement_branches,
     noisy_measure,
+    pair_decohere,
     register_from_pair,
     satellite_transmissivity,
 )
 from purlink.channels import _damping_lambda, _dephasing_pz
-from purlink.purify import ROT_ALICE, ROT_BOB, ROT_PAIR, _rotate_pair, _step_branch_maps
+from purlink.purify import ROT_ALICE, ROT_BOB, ROT_PAIR, _rotate_pair, _rotate_pauli, _step_tables
 from purlink.states import (
     I2,
     PAULIS,
@@ -34,8 +35,11 @@ from purlink.states import (
     fidelity,
     insert_mixed,
     make_werner,
+    to_pauli,
     trace_out,
 )
+
+from dense_oracle import pauli_transfer, step_branch_maps
 
 RNG = np.random.default_rng(77)
 PAIR0 = ((0, "A"), (0, "B"))
@@ -288,8 +292,37 @@ def test_step_branch_maps_match_dense_oracle(p_g, p_m):
             for ia, rho_a in enumerate(_dense_branches(rho, 4, 2, "Z", p_m)):
                 for ib, rho_b in enumerate(_dense_branches(rho_a, 3, 2, "Z", p_m)):
                     want[2 * ia + ib, :, row * 16 + col] = rho_b.reshape(-1)
-    got = _step_branch_maps(p_g, p_m)
+    got = step_branch_maps(p_g, p_m)
     assert np.abs(got - want.reshape(64, 256)).max() < 1e-14
+
+
+def test_pauli_rotation_matches_rot_pair():
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        rho = random_density(4, rng)
+        want = to_pauli(ROT_PAIR @ rho @ ROT_PAIR.conj().T)
+        assert np.abs(_rotate_pauli(to_pauli(rho)) - want).max() < 1e-15
+
+
+_RANDOM_NOISE = tuple(np.random.default_rng(21).uniform(0.5, 1.0, size=2))
+
+
+@pytest.mark.parametrize(
+    "p_g, p_m", ((0.99, 0.99), (1.0, 1.0), (0.9, 0.95), _RANDOM_NOISE)
+)
+def test_pauli_step_tables_match_dense_maps(p_g, p_m):
+    # the closed-form gather tables, spread out to per-branch matrices over
+    # the 256 joint input strings, equal the dense maps in the Pauli basis
+    main_idx, sac_idx, gate, read = _step_tables(p_g, p_m)
+    got = np.zeros((4, 16, 256))
+    outputs = np.repeat(np.arange(16), 4)
+    inputs = (16 * main_idx + sac_idx).reshape(-1)
+    # the step permutes strings, so no input string reaches two outputs
+    assert len(set(inputs)) == 64
+    coef = gate[None, :, :] * read.T[:, None, :]  # branch, output, pattern
+    got[:, outputs, inputs] = coef.reshape(4, 64)
+    want = pauli_transfer(step_branch_maps(p_g, p_m))
+    assert np.abs(got - want).max() < 1e-15
 
 
 # --- memory decoherence ---
@@ -392,6 +425,26 @@ def test_decohere_matches_dense_kraus_oracle(n_pairs, t1, t2, dt_kind):
         got = decohere(reg, qubits, dt, noise).rho
         want = _dense_decohere(reg, qubits, dt, noise).rho
         assert np.abs(got - want).max() < 1e-14
+
+
+@pytest.mark.parametrize(
+    "t1, t2", ((1.0, 0.8), (2.0, 4.0), (math.inf, 0.5), (math.inf, math.inf))
+)
+@pytest.mark.parametrize("dt_kind", ("short", "t2", "10_t1"))
+def test_pair_decohere_matches_register_decohere(t1, t2, dt_kind):
+    noise = NoiseParams(t1=t1, t2=t2)
+    dt = {"short": 1e-6, "t2": t2, "10_t1": 10.0 * t1}[dt_kind]
+    rng = np.random.default_rng((int(t1 < math.inf), int(t2 < math.inf)))
+    for rho in (random_density(4, rng), make_werner(0.9)):
+        want = to_pauli(decohere(register_from_pair(rho, 0), (0, 1), dt, noise).rho)
+        assert np.abs(pair_decohere(to_pauli(rho), dt, noise) - want).max() < 1e-15
+
+
+def test_pair_decohere_checks():
+    r = to_pauli(make_werner(0.6))
+    assert pair_decohere(r, 0.0, NoiseParams()) is r
+    with pytest.raises(ValueError):
+        pair_decohere(r, -1.0, NoiseParams())
 
 
 def test_decohere_identity_at_zero():

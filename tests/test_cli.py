@@ -2,6 +2,9 @@
 
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -171,6 +174,19 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["--help"]) == 0  # argparse exits 0; main maps it through
     assert main(["simulate", str(tmp_path / "absent.cfg")]) == 2
     capsys.readouterr()
+
+
+def test_python_dash_m_runs_the_cli(tmp_path, capsys):
+    path = cfg_file(tmp_path, FAST + "protocols = NOP,BASE\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run(
+        [sys.executable, "-m", "purlink", "simulate", path],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert main(["simulate", path]) == 0
+    assert done.stdout == capsys.readouterr().out
 
 
 def with_key(text, key, value):

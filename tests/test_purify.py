@@ -25,6 +25,8 @@ from purlink.states import (
     make_werner,
 )
 
+from dense_oracle import dense_pump_step, step_branch_maps
+
 NOISELESS = NoiseParams(p_g=1.0, p_m=1.0, t1=math.inf, t2=math.inf)
 HI = 1.0 - 1e-12
 RNG = np.random.default_rng(314159)
@@ -164,6 +166,24 @@ def test_step_noisy_regression():
     assert (out.alice_outcome, out.bob_outcome) == (-1, -1)
     assert abs(fidelity(out.post_state) - 0.7809409205590889) < 1e-12
     assert abs(out.branch_prob - 0.34746999999999995) < 1e-12
+
+
+def test_dejmps_step_matches_dense_step_over_noise():
+    # 20 noise settings outside any cache: same outcomes and states as the
+    # dense branch maps, draw for draw
+    rng = np.random.default_rng(2718)
+    for i, (p_g, p_m) in enumerate(rng.uniform(0.6, 1.0, size=(20, 2))):
+        noise = NoiseParams(p_g=p_g, p_m=p_m)
+        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        main, sac = a @ a.conj().T / np.trace(a @ a.conj().T).real, make_werner(0.8)
+        for seed in range(3):
+            got = dejmps_step(main, sac, noise, np.random.default_rng((i, seed)))
+            out_a, out_b, post, prob = dense_pump_step(
+                step_branch_maps(p_g, p_m), main, sac, np.random.default_rng((i, seed))
+            )
+            assert (got.alice_outcome, got.bob_outcome) == (out_a, out_b)
+            assert np.abs(got.post_state - post).max() < 1e-15
+            assert abs(got.branch_prob - prob) < 1e-15
 
 
 def test_step_gate_noise_degrades_output():

@@ -12,7 +12,9 @@ from purlink.states import (
     fidelity,
     insert_mixed,
     make_werner,
+    from_pauli,
     pauli_expectation,
+    to_pauli,
     trace_out,
 )
 from purlink.states import PAULI_X, PAULI_Z, PHI_PLUS
@@ -184,3 +186,16 @@ def test_pauli_expectation_basics():
     assert abs(pauli_expectation(phi, "X", "I")) < 1e-12
     mixed = np.eye(4, dtype=complex) / 4
     assert abs(pauli_expectation(mixed, "Z", "Z")) < 1e-12
+
+
+def test_pauli_roundtrip():
+    rng = np.random.default_rng(4)
+    for _ in range(50):
+        rho = random_density(2, rng)
+        r = to_pauli(rho)
+        assert r.dtype == float and r.shape == (4, 4)
+        assert abs(r[0, 0] - 1.0) < 1e-15
+        assert abs(r[1, 3] - pauli_expectation(rho, "X", "Z")) < 1e-15
+        assert np.abs(from_pauli(r) - rho).max() < 1e-15
+    w = (4.0 * 0.9 - 1.0) / 3.0
+    assert np.abs(to_pauli(make_werner(0.9)) - np.diag([1.0, w, -w, w])).max() < 1e-15

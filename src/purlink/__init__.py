@@ -25,7 +25,6 @@ from .purify import (
     dejmps_step,
     load_circuit,
     parse_circuit,
-    run_circuit,
 )
 from .states import bell_diagonal_state, fidelity, make_werner
 
@@ -59,7 +58,6 @@ __all__ = [
     "make_werner",
     "parse_circuit",
     "parse_config",
-    "run_circuit",
     "run_trial",
     "skf_bb84",
     "__version__",

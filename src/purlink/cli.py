@@ -34,6 +34,16 @@ _EVENT_TRIAL_INDEX = 2**62  # far outside any reachable trial index
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
+def _threads(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a whole number of at least 1, got {text!r}")
+    return value
+
+
 def _fmt(x: float) -> str:
     return repr(float(x))
 
@@ -62,7 +72,9 @@ def _run_task(task: tuple[Config, str, int, bool]) -> Estimates:
 def _estimate_grid(points: list[Config], names, mbc: bool, threads: int) -> list[list[Estimates]]:
     """One row per grid point, holding the estimate of each named protocol."""
     tasks = [(point, name, idx, mbc) for idx, point in enumerate(points) for name in names]
-    if threads <= 1 or len(tasks) <= 1:
+    # no more workers than tasks or cores: each one is a fresh interpreter
+    workers = min(threads, len(tasks), os.cpu_count() or 1)
+    if workers <= 1:
         flat = [_run_task(t) for t in tasks]
     else:
         # Workers are spawned, not forked, so that their numpy reads the
@@ -71,7 +83,7 @@ def _estimate_grid(points: list[Config], names, mbc: bool, threads: int) -> list
         os.environ.update({v: "1" for v in unset})
         try:
             context = multiprocessing.get_context("spawn")
-            with ProcessPoolExecutor(max_workers=threads, mp_context=context) as pool:
+            with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
                 flat = list(pool.map(_run_task, tasks))
         finally:
             for v in unset:
@@ -208,7 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--trials-min", type=int, default=None, help="override minimum trials per estimate")
         p.add_argument("--ci-target", type=float, default=None, help="override relative CI target")
         p.add_argument("--max-trials", type=int, default=None, help="override the trial cap")
-        p.add_argument("--threads", type=int, default=1, help="worker processes for grid cells")
+        p.add_argument("--threads", type=_threads, default=1,
+                       help="worker processes for grid cells, at most one per core")
         p.add_argument("--events-log", default=None, metavar="PATH",
                        help="write one traced trial per protocol to PATH")
         p.set_defaults(func=func)

@@ -17,12 +17,13 @@ A trial simulates from empty memories to one accepted pair. Storage
 decoherence is applied to every stored qubit for every interval between the
 events that touch it.
 
-A pair held on its own (every pair of a pumping trial, and a circuit's pairs
-until a gate entangles them) is a real 4x4 Pauli transfer matrix
-(states.to_pauli): it decoheres through channels.pair_decohere, rotates by a
-signed permutation and is pumped by purify._pump_step. Pairs joined by a
-gate live in a dense complex register. TrialResult.output_state is always a
-4x4 density matrix, converted once at delivery.
+Every pair lives in a register held in Pauli transfer form (see channels):
+a pair starts alone, as the real 4x4 matrix of states.to_pauli, and a gate
+joins the registers of its two pairs. Registers decohere through
+channels.pauli_decohere, are rotated and gated by purify.pauli_clifford and
+measured by channels.pauli_measure; pumping steps run purify._pump_step.
+TrialResult.output_state is always a 4x4 density matrix, converted once at
+delivery.
 
 Every trial except the blind OPT pipeline (_opt_blind_trial) runs in
 _timed_trial, which executes a purification circuit; Pumping(n) is compiled
@@ -50,29 +51,11 @@ from functools import lru_cache
 from heapq import heappop, heappush
 from typing import Optional, Union
 
-from .channels import (
-    NoiseParams,
-    PairRegister,
-    TWO_QUBIT_GATES,
-    decohere,
-    extract_pair,
-    join,
-    pair_decohere,
-    register_from_pair,
-)
+import numpy as np
+
+from .channels import NoiseParams, pauli_decohere, pauli_measure
 from .linkmodel import LinkConfig, attempt_success_prob, link_delays, per_photon_survival
-from .purify import (
-    Gate,
-    Measure,
-    PurificationCircuit,
-    Rot,
-    _bilateral_gate,
-    _measure_pair,
-    _pump_step,
-    _rotate_pair,
-    _rotate_pauli,
-    _step_tables,
-)
+from .purify import Gate, Measure, PurificationCircuit, Rot, _pump_step, _step_tables, pauli_clifford
 from .states import TwoQubitState, from_pauli, make_werner, to_pauli
 
 PROTOCOL_NAMES = ("NOP", "BASE", "HOPT", "OPT")
@@ -320,9 +303,9 @@ def _opt_blind_trial(kernel: _Kernel, n_steps: int, rng, trace: _Trace) -> Trial
             a_sac = kernel.arrival(ticks[step])
             trace.born(step, a_sac)
             tau_end = a_sac + gate_time + measure_time
-            main = pair_decohere(main, tau_end - last_touch, noise)
+            main = pauli_decohere(main, 0, tau_end - last_touch, noise)
             trace.decohered(0, tau_end - last_touch)
-            sac = pair_decohere(kernel.werner, tau_end - a_sac, noise)
+            sac = pauli_decohere(kernel.werner, 0, tau_end - a_sac, noise)
             trace.decohered(step, tau_end - a_sac)
             out_a, out_b, post, _ = _pump_step(tables, main, sac, rng)
             if trace.live:
@@ -379,10 +362,9 @@ def _compile(circ: PurificationCircuit) -> tuple:
     seen: set[int] = set()
     for instr in circ.instructions:
         if isinstance(instr, Rot):
-            code, operands, arg = _ROT, (instr.pair,), None
+            code, operands, arg = _ROT, (instr.pair,), "ROT"
         elif isinstance(instr, Gate):
-            code, operands = _GATE, (instr.control_pair, instr.target_pair)
-            arg = TWO_QUBIT_GATES[instr.kind]
+            code, operands, arg = _GATE, (instr.control_pair, instr.target_pair), instr.kind
         elif isinstance(instr, Measure):
             code, operands, arg = _MEASURE, (instr.pair,), instr
         else:
@@ -400,15 +382,15 @@ def _timed_trial(
 ) -> TrialResult:
     """Run circuit episodes from empty memories until one delivers.
 
-    Each pair is held as a lone pair in Pauli transfer form until a GATE
-    joins it into the dense register; a MEASURE that leaves one pair in the
-    register returns it to lone form. A lone pair is converted to a dense
-    state only where it meets dense code: at a GATE join, at a lone MEASURE
-    and at delivery. Pairs take memory slots in arrival order; a slot frees
-    at the measurement of the pair holding it, and under BASE a new pair is
-    also held back until every earlier outcome is checked. A lost photon
-    (OPT), a mismatch (without measure_before_confirm) or a filtered
-    delivery (with it) restarts the episode from the moment it is known.
+    held maps each pair to the register that holds it: a [state, pairs]
+    list, shared by the pairs it holds, with pairs in axis order. A pair
+    arrives in a register of its own, a GATE on pairs of two registers joins
+    them, and a MEASURE drops the pair from its register. Pairs take memory
+    slots in arrival order; a slot frees at the measurement of the pair
+    holding it, and under BASE a new pair is also held back until every
+    earlier outcome is checked. A lost photon (OPT), a mismatch (without
+    measure_before_confirm) or a filtered delivery (with it) restarts the
+    episode from the moment it is known.
     Raw delivery (NOP) runs the empty circuit of Pumping(0).
     """
     program = _compile(circ)
@@ -435,8 +417,7 @@ def _timed_trial(
     while True:
         usable = [0.0] * n_pairs  # local time from which each pair may be used
         touched = [0.0] * n_pairs  # time each pair is decohered up to
-        lone: list = [None] * n_pairs  # Pauli form of pairs outside the register
-        reg: Optional[PairRegister] = None
+        held: list = [None] * n_pairs  # the register of each stored pair
         slot_free = [0.0] * n_slots  # min-heap of slot release times
         k_last = kernel.tick_from_emission(ref) - 1
         last_arrival = 0.0
@@ -457,7 +438,7 @@ def _timed_trial(
                 pairs += 1
                 last_arrival = touched[p] = a
                 usable[p] = a + lag
-                lone[p] = werner
+                held[p] = [werner, [p]]
                 if audit:
                     trace.born(p, a)
                 if live:
@@ -485,11 +466,8 @@ def _timed_trial(
             for p in operands:
                 dt = tau_end - touched[p]
                 if dt > 0.0:
-                    if lone[p] is not None:
-                        lone[p] = pair_decohere(lone[p], dt, noise)
-                    else:
-                        qubits = (reg.qubit_index(p, "A"), reg.qubit_index(p, "B"))
-                        reg = decohere(reg, qubits, dt, noise)
+                    reg = held[p]
+                    reg[0] = pauli_decohere(reg[0], reg[1].index(p), dt, noise)
                     if audit:
                         trace.decohered(p, dt)
                 touched[p] = tau_end
@@ -498,40 +476,28 @@ def _timed_trial(
 
             if code == _STEP:
                 m = operands[0]
-                out_a, out_b, lone[m], _ = _pump_step(tables, lone[m], lone[p], rng)
+                out_a, out_b, held[m][0], _ = _pump_step(tables, held[m][0], held[p][0], rng)
                 kept = out_a == out_b
                 if live:
                     trace.event(tau_end, "AB", "purify_step", f"step={steps + 1} a={out_a:+d} b={out_b:+d}")
             elif code == _MEASURE:
-                if lone[p] is None:
-                    out_a, out_b, reg, _ = _measure_pair(reg, p, arg.basis, noise.p_m, rng)
-                    if reg.n_qubits == 2:  # one pair left: back to lone form
-                        q = reg.qubits[0][0]
-                        lone[q] = to_pauli(extract_pair(reg, q))
-                        reg = None
-                else:
-                    out_a, out_b, _, _ = _measure_pair(
-                        register_from_pair(from_pauli(lone[p]), p), p, arg.basis, noise.p_m, rng
-                    )
+                reg = held[p]
+                out_a, out_b, reg[0], _ = pauli_measure(reg[0], reg[1].index(p), arg.basis, noise.p_m, rng)
+                reg[1].remove(p)
                 kept = (out_a == out_b) == arg.keep_equal
                 if live:
                     trace.event(tau_end, "AB", "measure", f"pair={p} a={out_a:+d} b={out_b:+d}")
-            else:
-                if code == _ROT:
-                    if lone[p] is not None:
-                        lone[p] = _rotate_pauli(lone[p])
-                    else:
-                        reg = _rotate_pair(reg, p)
-                else:  # GATE: both operands join the register
-                    for q in operands:
-                        if lone[q] is not None:
-                            joined = register_from_pair(from_pauli(lone[q]), q)
-                            reg = joined if reg is None else join(reg, joined)
-                            lone[q] = None
-                    reg = _bilateral_gate(reg, arg, operands[0], operands[1], noise.p_g)
+            else:  # ROT or GATE
+                reg = held[p]
+                first = held[operands[0]]
+                if first is not reg:  # a GATE joins the registers of its pairs
+                    reg[0], reg[1] = np.multiply.outer(first[0], reg[0]), first[1] + reg[1]
+                    for q in first[1]:
+                        held[q] = reg
+                reg[0] = pauli_clifford(reg[0], arg, tuple(map(reg[1].index, operands)), noise.p_g)
                 continue
             # p was measured
-            lone[p] = None
+            held[p] = None
             steps += 1
             heappush(slot_free, tau_end)
             check_floor = tau_end + herald
@@ -563,7 +529,7 @@ def _timed_trial(
                     trace.message(t_local, "A", Message(t_local, t_local + herald, "final_confirm"))
             if restart is None:
                 dt = completion - touched[survivor]
-                state = from_pauli(pair_decohere(lone[survivor], dt, noise))
+                state = from_pauli(pauli_decohere(held[survivor][0], 0, dt, noise))
                 if audit:
                     trace.decohered(survivor, dt)
                     trace.closed(survivor, completion)

@@ -4,34 +4,23 @@ The DEJMPS pumping step kernel that every timed engine runs, a small
 circuit DSL for externally supplied purification circuits, and the analytic
 Bell-diagonal recurrence oracle the simulator is tested against.
 
-The step kernel works on pairs in Pauli transfer form (states.to_pauli)
-through gather tables built in closed form per (p_g, p_m); the DSL
-instructions act on dense registers.
+Every state is held in Pauli transfer form (see channels). The DSL's
+rotations and gates are cached signed gathers on a register
+(pauli_clifford), and the step kernel gathers through tables read off the
+same gathers composed on two pairs. The dense form of the step and of the
+DSL interpreter is the test oracle (tests/dense_oracle.py).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import count
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Union
+from typing import Union
 
 import numpy as np
 
-from .channels import (
-    CNOT,
-    TWO_QUBIT_GATES,
-    ImpossibleOutcomeError,
-    NoiseParams,
-    PairRegister,
-    apply_unitary,
-    depolarize_gate,
-    extract_pair,
-    join,
-    noisy_measure,
-    register_from_pair,
-)
+from .channels import TWO_QUBIT_GATES, NoiseParams, readout, sample_branches
 from .states import BellCoeffs, I2, PAULI_X, TwoQubitState, from_pauli, pauli_image, to_pauli
 
 # Bilateral twirl rotations: Alice rotates +pi/2 about X, Bob -pi/2. Which
@@ -50,53 +39,65 @@ class StepOutcome:
     branch_prob: float
 
 
-def _rotate_pair(reg: PairRegister, pair_label: int) -> PairRegister:
-    """Apply the bilateral DEJMPS rotation to one pair (noiseless 1q gates)."""
-    ia = reg.qubit_index(pair_label, "A")
-    ib = reg.qubit_index(pair_label, "B")
-    return apply_unitary(reg, ROT_PAIR, (ia, ib))
+# ROT and the bilateral gates are Clifford, so each maps a Pauli string to
+# one signed Pauli string (Aaronson and Gottesman, PRA 70, 052328, 2004); a
+# depolarizing gate also scales every string that is not I on both its qubits
+# by p_g. In gather form, output string s takes fac[s] times input string
+# src[s].
+
+_ONES = np.ones(16, dtype=np.intp)
 
 
-def _bilateral_gate(
-    reg: PairRegister, gate: np.ndarray, control_pair: int, target_pair: int, p_g: float
-) -> PairRegister:
-    """Apply the gate on Alice's qubits and on Bob's, each depolarizing."""
-    for side in ("A", "B"):
-        c = reg.qubit_index(control_pair, side)
-        t = reg.qubit_index(target_pair, side)
-        reg = depolarize_gate(reg, gate, (c, t), p_g)
-    return reg
+def _gather_form(unitary: np.ndarray, p_g: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """(src, fac) of a two-qubit Clifford on the 16 strings of its two qubits."""
+    index, sign = pauli_image(unitary)
+    src = np.argsort(index)
+    return src, sign[src] * np.where(np.arange(16) > 0, p_g, 1.0)
 
 
-def _measure_pair(
-    reg: PairRegister, pair_label: int, basis: str, p_m: float, rng
-) -> tuple[int, int, PairRegister, float]:
-    """Measure both qubits of a pair, Alice first, and drop them."""
-    ia = reg.qubit_index(pair_label, "A")
-    out_a, reg, prob_a = noisy_measure(reg, ia, basis, p_m, rng.random())
-    ib = reg.qubit_index(pair_label, "B")
-    out_b, reg, prob_b = noisy_measure(reg, ib, basis, p_m, rng.random())
-    return out_a, out_b, reg, prob_a * prob_b
+_ROT = _gather_form(ROT_PAIR)
 
 
-# Lone pairs are held in Pauli transfer form (states.to_pauli). The step's
-# rotations and CNOTs are Clifford, so each maps a Pauli string to one signed
-# Pauli string; a depolarizing CNOT also scales every string that is not I on
-# both its qubits by p_g, and a Z measurement traces out X and Y on the
-# measured qubit and reads a Z as the outcome times 2 p_m - 1. The step is
-# therefore linear in main (x) sac with at most one input string per output.
-
-# Signed permutations of the 16 two-qubit Pauli strings, index 4 i + j.
-_ROT_INDEX, _ROT_SIGN = pauli_image(ROT_PAIR)
-_CNOT_INDEX, _CNOT_SIGN = pauli_image(CNOT)
-# gather form of the rotation: the source string of each output string
-_ROT_SRC = np.argsort(_ROT_INDEX)
-_ROT_SRC_SIGN = _ROT_SIGN[_ROT_SRC]
+def _push(x: np.ndarray, src: np.ndarray, fac: np.ndarray, axes: tuple[int, int]) -> np.ndarray:
+    """Apply the two-axis gather (src, fac) to the given axes of x."""
+    moved = np.moveaxis(x, axes, (0, 1))
+    out = moved.reshape(16, -1)[src] * fac[:, None]
+    return np.moveaxis(out.reshape(moved.shape), (0, 1), axes)
 
 
-def _rotate_pauli(r: np.ndarray) -> np.ndarray:
-    """The bilateral DEJMPS rotation of a lone pair in Pauli form."""
-    return (r.reshape(16)[_ROT_SRC] * _ROT_SRC_SIGN).reshape(4, 4)
+@lru_cache(maxsize=64)
+def _gather(ops: tuple, m: int, p_g: float) -> tuple[np.ndarray, np.ndarray]:
+    """Flat (src, fac) of a sequence of Clifford ops on a register of m pairs.
+
+    ops holds ("ROT", (pair,)) and (gate, (control, target)) entries, applied
+    in order, with pairs given by register position; together they map r to
+    fac * r.flat[src].
+    """
+    src = np.arange(16**m).reshape((4,) * (2 * m))
+    fac = np.ones(src.shape)
+    for op, pairs in ops:
+        if op == "ROT":
+            moves = ((_ROT, (2 * pairs[0], 2 * pairs[0] + 1)),)
+        else:
+            gate = _gather_form(TWO_QUBIT_GATES[op], p_g)
+            c, t = 2 * pairs[0], 2 * pairs[1]
+            moves = ((gate, (c, t)), (gate, (c + 1, t + 1)))  # Alice's qubits, then Bob's
+        for (g_src, g_fac), axes in moves:
+            src = _push(src, g_src, _ONES, axes)
+            fac = _push(fac, g_src, g_fac, axes)
+    src, fac = src.reshape(-1), fac.reshape(-1)
+    src.flags.writeable = fac.flags.writeable = False  # shared by every caller
+    return src, fac
+
+
+def pauli_clifford(r: np.ndarray, op: str, pairs: tuple[int, ...], p_g: float = 1.0) -> np.ndarray:
+    """ROT on pairs[0], or the bilateral gate op from pairs[0] onto pairs[1].
+
+    pairs are register positions. The rotation is noiseless; each gate
+    depolarizes with success probability p_g.
+    """
+    src, fac = _gather(((op, pairs),), r.ndim // 2, p_g)
+    return (r.take(src) * fac).reshape(r.shape)
 
 
 @lru_cache(maxsize=16)
@@ -109,61 +110,26 @@ def _step_tables(p_g: float, p_m: float) -> tuple[np.ndarray, ...]:
     of that path. read[z, b] is the measurement factor of pattern z in
     outcome branch b, ordered (+1, +1), (+1, -1), (-1, +1), (-1, -1) for
     (Alice, Bob), so branch b of output o is sum_z gate * read * main * sac.
-    Built in closed form from the Pauli images of ROT_PAIR and CNOT.
+    Read off the composed gather of both rotations and the bilateral CNOT
+    on the two-pair register (main, sac).
     """
-    main_idx = np.zeros((16, 4), dtype=np.intp)
-    sac_idx = np.zeros((16, 4), dtype=np.intp)
-    gate = np.zeros((16, 4))
-    for m in range(16):
-        a, b = divmod(int(_ROT_INDEX[m]), 4)
-        for s in range(16):
-            c, d = divmod(int(_ROT_INDEX[s]), 4)
-            # CNOT from main to sac on Alice's qubits, then on Bob's
-            oa, oc = divmod(int(_CNOT_INDEX[4 * a + c]), 4)
-            ob, od = divmod(int(_CNOT_INDEX[4 * b + d]), 4)
-            if oc in (1, 2) or od in (1, 2):
-                continue  # X or Y on a measured qubit traces to zero
-            coef = _ROT_SIGN[m] * _ROT_SIGN[s] * _CNOT_SIGN[4 * a + c] * _CNOT_SIGN[4 * b + d]
-            if a or c:
-                coef *= p_g
-            if b or d:
-                coef *= p_g
-            o, z = 4 * oa + ob, 2 * (oc == 3) + (od == 3)
-            main_idx[o, z], sac_idx[o, z], gate[o, z] = m, s, coef
-    # each measured qubit halves the coefficient; its Z reads outcome * e
-    e = 2.0 * p_m - 1.0
-    read = np.array([
-        [0.25 * (out_a * e) ** za * (out_b * e) ** zb for out_a in (1, -1) for out_b in (1, -1)]
-        for za in (0, 1) for zb in (0, 1)
-    ])
-    return main_idx, sac_idx, gate, read
+    src, fac = _gather((("ROT", (0,)), ("ROT", (1,)), ("CNOT", (0, 1))), 2, p_g)
+    kept = [0, 3, 12, 15]  # output string 16 o + s with s = II, IZ, ZI or ZZ on sac
+    src, gate = src.reshape(16, 16)[:, kept], fac.reshape(16, 16)[:, kept]
+    return src // 16, src % 16, gate, readout(p_m)
 
 
 def _pump_step(
     tables: tuple, main: np.ndarray, sac: np.ndarray, rng
 ) -> tuple[int, int, np.ndarray, float]:
-    """Sample a step on Pauli-form pairs (Alice's uniform, then Bob's).
+    """Sample a step on Pauli-form pairs through channels.sample_branches.
 
-    Returns (out_a, out_b, post, prob) with post in Pauli form. Column b of
-    branches is branch b's unnormalized state; its weight is the identity
-    coefficient, row 0.
+    Returns (out_a, out_b, post, prob) with post in Pauli form.
     """
     main_idx, sac_idx, gate, read = tables
     branches = np.dot(gate * main.take(main_idx) * sac.take(sac_idx), read)
-    traces = branches[0].tolist()
-    total = sum(traces)
-    if total < 1e-15:
-        raise ImpossibleOutcomeError("all step branches have vanishing probability")
-    out_a = 1 if rng.random() < (traces[0] + traces[1]) / total else -1
-    base = 0 if out_a == 1 else 2
-    sub = traces[base] + traces[base + 1]
-    if sub < 1e-15:
-        raise ImpossibleOutcomeError("selected measurement branch is impossible")
-    out_b = 1 if rng.random() < traces[base] / sub else -1
-    idx = base + (0 if out_b == 1 else 1)
-    if traces[idx] < 1e-15:
-        raise ImpossibleOutcomeError("selected measurement branch is impossible")
-    return out_a, out_b, (branches[:, idx] / traces[idx]).reshape(4, 4), traces[idx] / total
+    out_a, out_b, post, prob = sample_branches(branches, rng)
+    return out_a, out_b, post.reshape(4, 4), prob
 
 
 def dejmps_step(
@@ -363,61 +329,3 @@ def parse_circuit(text: str) -> PurificationCircuit:
 
 def load_circuit(path: str | Path) -> PurificationCircuit:
     return parse_circuit(Path(path).read_text())
-
-
-PairSupplier = Union[Callable[[], TwoQubitState], Iterable[TwoQubitState]]
-
-
-def run_circuit(
-    circ: PurificationCircuit, pair_supplier: PairSupplier, noise: NoiseParams, rng
-) -> StepOutcome:
-    """Execute a circuit on pairs taken from the supplier in arrival order.
-
-    Untimed: no storage decoherence, instructions run back to back. Overall
-    success is the conjunction of all keep conditions; the reported outcomes
-    are those of the final MEASURE. The timed variant lives in protocols.
-    """
-    supply: Iterator[TwoQubitState]
-    if callable(pair_supplier):
-        # states are arrays, so the two-argument iter() sentinel form would
-        # trip on elementwise comparison
-        supply = (pair_supplier() for _ in count())
-    else:
-        supply = iter(pair_supplier)
-
-    reg: PairRegister | None = None
-    present: set[int] = set()
-
-    def ensure(pair: int) -> PairRegister:
-        nonlocal reg
-        if pair not in present:
-            fresh = register_from_pair(next(supply), pair)
-            reg = fresh if reg is None else join(reg, fresh)
-            present.add(pair)
-        assert reg is not None
-        return reg
-
-    success = True
-    prob = 1.0
-    out_a = out_b = 0
-    for instr in circ.instructions:
-        if isinstance(instr, Rot):
-            reg = _rotate_pair(ensure(instr.pair), instr.pair)
-        elif isinstance(instr, Gate):
-            ensure(instr.control_pair)
-            reg = _bilateral_gate(
-                ensure(instr.target_pair),
-                TWO_QUBIT_GATES[instr.kind],
-                instr.control_pair,
-                instr.target_pair,
-                noise.p_g,
-            )
-        else:
-            ensure(instr.pair)
-            out_a, out_b, reg, p = _measure_pair(
-                reg, instr.pair, instr.basis, noise.p_m, rng
-            )
-            prob *= p
-            success &= (out_a == out_b) == instr.keep_equal
-    reg = ensure(circ.survivor)  # an untouched survivor still has to be taken
-    return StepOutcome(success, out_a, out_b, extract_pair(reg, circ.survivor), prob)

@@ -5,15 +5,12 @@ with qubit order Alice tensor Bob. The Bell basis is fixed everywhere as
 (phi+, psi-, psi+, phi-); keeping one ordering avoids silent coefficient
 permutations between the simulator and the analytic recurrence oracle.
 
-A pair held on its own is stored in Pauli transfer form instead: the real
-4x4 matrix R[i, j] = Tr(rho sigma_i (x) sigma_j) with sigma in the order
-(I, X, Y, Z). to_pauli and from_pauli convert, and pauli_image gives the
-signed permutation a two-qubit Clifford makes of the 16 Pauli strings.
-
-The n-qubit helpers at the end serve two roles: trace_out is used by the
-channels, while embed_single, embed_two and insert_mixed build full 2^n x 2^n
-operators and are only the dense test oracle of the register channels, which
-contract over the acted-on qubits instead.
+The simulator holds states in Pauli transfer form instead: a pair is the
+real 4x4 matrix R[i, j] = Tr(rho sigma_i (x) sigma_j) with sigma in the order
+(I, X, Y, Z), and a register of several pairs is the same form on more axes
+(see channels). to_pauli and from_pauli convert a pair, and pauli_image gives
+the signed permutation a two-qubit Clifford makes of the 16 Pauli strings.
+Density matrices appear only at delivery and at the dejmps_step boundary.
 """
 
 from __future__ import annotations
@@ -124,74 +121,3 @@ def pauli_image(unitary: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     coeffs = np.einsum("mab,kba->km", _PAULI_PAIRS, conj).real / 4.0
     index = np.abs(coeffs).argmax(axis=1)
     return index, np.rint(coeffs[np.arange(16), index])
-
-
-# ---------------------------------------------------------------------------
-# n-qubit helpers: trace_out for the channels, the embeddings for the dense
-# oracle. Qubit 0 is the leftmost (most significant) tensor factor.
-
-def embed_single(op: np.ndarray, qubit: int, n_qubits: int) -> np.ndarray:
-    """Lift a 2x2 operator to the full 2^n space at the given position."""
-    ops = [I2] * n_qubits
-    ops[qubit] = op
-    full = ops[0]
-    for o in ops[1:]:
-        full = np.kron(full, o)
-    return full
-
-
-def embed_two(op: np.ndarray, qubit_a: int, qubit_b: int, n_qubits: int) -> np.ndarray:
-    """Lift a 4x4 operator acting on (qubit_a, qubit_b) to the full space.
-
-    The operator's first index is qubit_a, second qubit_b; the qubits need
-    not be adjacent or ordered.
-    """
-    if qubit_a == qubit_b:
-        raise ValueError("two-qubit operator needs distinct qubits")
-    dim = 1 << n_qubits
-    sa = n_qubits - 1 - qubit_a
-    sb = n_qubits - 1 - qubit_b
-    full = np.zeros((dim, dim), dtype=complex)
-    for col in range(dim):
-        ba = (col >> sa) & 1
-        bb = (col >> sb) & 1
-        base = col & ~(1 << sa) & ~(1 << sb)
-        in_idx = (ba << 1) | bb
-        for ca in (0, 1):
-            for cb in (0, 1):
-                row = base | (ca << sa) | (cb << sb)
-                full[row, col] += op[(ca << 1) | cb, in_idx]
-    return full
-
-
-def trace_out(rho: np.ndarray, qubits: tuple[int, ...] | list[int], n_qubits: int) -> np.ndarray:
-    """Partial trace removing the listed qubits."""
-    t = rho.reshape((2,) * (2 * n_qubits))
-    n = n_qubits
-    for q in sorted(qubits, reverse=True):
-        t = np.trace(t, axis1=q, axis2=q + n)
-        n -= 1
-    dim = 1 << n
-    return t.reshape(dim, dim)
-
-
-def insert_mixed(rho: np.ndarray, positions: tuple[int, ...], n_total: int) -> np.ndarray:
-    """Tensor maximally mixed qubits back in at the given positions.
-
-    rho covers the other n_total - len(positions) qubits in their original
-    relative order; the result covers all n_total.
-    """
-    k = len(positions)
-    n_kept = n_total - k
-    full = np.kron(rho, np.eye(1 << k, dtype=complex) / (1 << k))
-    # Current qubit layout: kept qubits first (original order), then the
-    # mixed ones; permute back to the original positions.
-    kept = [q for q in range(n_total) if q not in positions]
-    order = [0] * n_total
-    for cur, q in enumerate(kept):
-        order[q] = cur
-    for j, q in enumerate(sorted(positions)):
-        order[q] = n_kept + j
-    t = full.reshape((2,) * (2 * n_total))
-    axes = order + [o + n_total for o in order]
-    return t.transpose(axes).reshape(1 << n_total, 1 << n_total)

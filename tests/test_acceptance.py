@@ -16,11 +16,6 @@ from purlink.channels import (
     CNOT,
     NoiseParams,
     OpticalHardware,
-    PairRegister,
-    amplitude_damp,
-    decohere,
-    dephase,
-    depolarize_gate,
     diffraction_efficiency,
     fiber_transmissivity,
 )
@@ -38,6 +33,8 @@ from purlink.protocols import (
 )
 from purlink.purify import bell_recurrence_oracle, dejmps_step
 from purlink.states import BellCoeffs, bell_diagonal_state, make_werner
+
+from dense_oracle import PairRegister, amplitude_damp, decohere, dephase, depolarize_gate
 
 NOISELESS = NoiseParams(p_g=1.0, p_m=1.0, t1=math.inf, t2=math.inf)
 PAIR0 = ((0, "A"), (0, "B"))

@@ -7,42 +7,53 @@ import pytest
 from purlink.channels import (
     CNOT,
     CZ,
+    TWO_QUBIT_GATES,
     ImpossibleOutcomeError,
     NoiseParams,
     OpticalHardware,
-    PairRegister,
-    amplitude_damp,
-    decohere,
-    dephase,
-    depolarize_gate,
     diffraction_efficiency,
-    extract_pair,
     fiber_transmissivity,
-    join,
-    measurement_branches,
-    noisy_measure,
-    pair_decohere,
-    register_from_pair,
+    pauli_decohere,
+    pauli_measure,
     satellite_transmissivity,
 )
 from purlink.channels import _damping_lambda, _dephasing_pz
-from purlink.purify import ROT_ALICE, ROT_BOB, ROT_PAIR, _rotate_pair, _rotate_pauli, _step_tables
-from purlink.states import (
-    I2,
-    PAULIS,
-    embed_single,
-    embed_two,
-    fidelity,
-    insert_mixed,
-    make_werner,
-    to_pauli,
-    trace_out,
-)
+from purlink.purify import ROT_PAIR, _step_tables, pauli_clifford
+from purlink.states import fidelity, from_pauli, make_werner, to_pauli
 
-from dense_oracle import pauli_transfer, step_branch_maps
+from dense_oracle import (
+    PairRegister,
+    amplitude_damp,
+    bilateral_gate,
+    decohere,
+    dense_register,
+    dephase,
+    depolarize_gate,
+    extract_pair,
+    join,
+    measure_pair,
+    measurement_branches,
+    pauli_register,
+    pauli_transfer,
+    register_from_pair,
+    rotate_pair,
+    step_branch_maps,
+)
 
 RNG = np.random.default_rng(77)
 PAIR0 = ((0, "A"), (0, "B"))
+HI = 1.0 - 1e-12
+BRANCH_UNIFORMS = ((0.0, 0.0), (0.0, HI), (HI, 0.0), (HI, HI))  # (+,+), (+,-), (-,+), (-,-)
+
+
+class QueuedU:
+    """Stands in for an rng, returning preset uniforms in order."""
+
+    def __init__(self, *vals):
+        self._vals = list(vals)
+
+    def random(self):
+        return self._vals.pop(0)
 
 
 def choi_matrix(channel, dim):
@@ -163,36 +174,35 @@ def test_depolarize_gate_bad_qubits():
 
 
 # --- measurement ---
+#
+# pauli_measure measures both qubits of a pair of a Pauli register, Alice's
+# uniform first; the dense oracle checks it below.
 
 
 def test_noisy_measure_branch_probs_sum_to_one():
     for _ in range(20):
-        rho = random_density(4, RNG)
-        reg = PairRegister(rho, PAIR0)
-        _, _, p_plus = noisy_measure(reg, 0, "Z", 0.9, 0.0)
-        _, _, p_minus = noisy_measure(reg, 0, "Z", 0.9, 1.0 - 1e-12)
-        assert abs(p_plus + p_minus - 1.0) < 1e-10
+        r = to_pauli(random_density(4, RNG))
+        probs = [pauli_measure(r, 0, "Z", 0.9, QueuedU(*u))[3] for u in BRANCH_UNIFORMS]
+        assert abs(sum(probs) - 1.0) < 1e-10
 
 
 def test_noisy_measure_projective():
     zero = np.zeros((4, 4), dtype=complex)
     zero[0, 0] = 1.0  # |00>
-    reg = PairRegister(zero, PAIR0)
-    outcome, post, prob = noisy_measure(reg, 0, "Z", 1.0, 0.0)
-    assert outcome == 1 and abs(prob - 1.0) < 1e-12
-    assert post.n_qubits == 1
-    assert post.qubits == ((0, "B"),)
-    assert np.allclose(post.rho, [[1, 0], [0, 0]])
+    r = np.multiply.outer(to_pauli(zero), to_pauli(zero))  # |00> on both pairs
+    out_a, out_b, post, prob = pauli_measure(r, 0, "Z", 1.0, QueuedU(0.0, 0.0))
+    assert (out_a, out_b) == (1, 1) and abs(prob - 1.0) < 1e-12
+    assert post.shape == (4, 4)  # one pair left
+    assert np.allclose(from_pauli(post), zero)
 
 
 def test_noisy_measure_flip_probability():
     zero = np.zeros((4, 4), dtype=complex)
     zero[0, 0] = 1.0
-    reg = PairRegister(zero, PAIR0)
-    # p_m=0.9 reports the wrong face with probability 0.1
-    outcome, _, prob = noisy_measure(reg, 0, "Z", 0.9, 0.95)
-    assert outcome == -1
-    assert abs(prob - 0.1) < 1e-12
+    # p_m=0.9 reports the wrong face with probability 0.1 on each side
+    out_a, out_b, _, prob = pauli_measure(to_pauli(zero), 0, "Z", 0.9, QueuedU(0.95, 0.0))
+    assert (out_a, out_b) == (-1, 1)
+    assert abs(prob - 0.1 * 0.9) < 1e-12
 
 
 def test_noisy_measure_impossible_branch():
@@ -200,80 +210,64 @@ def test_noisy_measure_impossible_branch():
     # fully underflowed state can trip the guard
     zero = np.zeros((4, 4), dtype=complex)
     zero[0, 0] = 1.0
-    reg = PairRegister(zero, PAIR0)
-    outcome, _, prob = noisy_measure(reg, 0, "Z", 1.0, 1.0 - 1e-12)
-    assert outcome == 1 and prob == 1.0
+    out_a, out_b, _, prob = pauli_measure(to_pauli(zero), 0, "Z", 1.0, QueuedU(HI, HI))
+    assert out_a == out_b == 1 and prob == 1.0
     with pytest.raises(ImpossibleOutcomeError):
-        noisy_measure(PairRegister(np.zeros((4, 4), dtype=complex), PAIR0), 0, "Z", 1.0, 0.5)
+        pauli_measure(np.zeros((4, 4)), 0, "Z", 1.0, QueuedU(0.5, 0.5))
 
 
 def test_noisy_measure_bad_basis():
-    reg = register_from_pair(make_werner(0.9), 0)
     with pytest.raises(ValueError):
-        noisy_measure(reg, 0, "I", 0.99, 0.5)
+        pauli_measure(to_pauli(make_werner(0.9)), 0, "I", 0.99, QueuedU(0.5, 0.5))
 
 
 def test_measurement_channel_preserves_trace():
-    # unconditioned on the outcome, measurement is trace preserving
+    # unconditioned on the outcomes, measurement is trace preserving
     for basis in ("X", "Y", "Z"):
-        rho = random_density(4, RNG)
-        reg = PairRegister(rho, PAIR0)
-        _, _, p_plus = noisy_measure(reg, 1, basis, 0.8, 0.0)
-        _, _, p_minus = noisy_measure(reg, 1, basis, 0.8, 1.0 - 1e-12)
-        assert abs(p_plus + p_minus - 1.0) < 1e-10
+        r = to_pauli(random_density(4, RNG))
+        probs = [pauli_measure(r, 0, basis, 0.8, QueuedU(*u))[3] for u in BRANCH_UNIFORMS]
+        assert abs(sum(probs) - 1.0) < 1e-10
 
 
-# --- register channels against the dense oracle ---
+# --- Pauli registers against the dense oracle ---
 #
-# The channels contract over the qubits they act on; the oracle builds the
-# full 2^n x 2^n operators with the embedding helpers of states.
+# A Pauli register of n // 2 pairs against the dense register of the same n
+# qubits, (A, B) of each pair adjacent: every ordered gate pair, every
+# rotation, pair measurement and pair decoherence, and the join.
 
 
-def _dense_gate(rho, n, unitary, qubits, p_g):
-    u = embed_two(unitary, *qubits, n)
-    out = u @ rho @ u.conj().T
-    if p_g < 1.0:
-        out = p_g * out + (1.0 - p_g) * insert_mixed(trace_out(rho, qubits, n), qubits, n)
-    return out
-
-
-def _dense_branches(rho, n, qubit, basis, p_m):
-    kept = []
-    for sign in (1.0, -1.0):
-        proj = embed_single((I2 + sign * PAULIS[basis]) / 2.0, qubit, n)
-        kept.append(trace_out(proj @ rho @ proj, (qubit,), n))
-    return p_m * kept[0] + (1.0 - p_m) * kept[1], p_m * kept[1] + (1.0 - p_m) * kept[0]
-
-
-@pytest.mark.parametrize("n", (2, 3, 4, 5, 6))
+@pytest.mark.parametrize("n", (2, 4, 6))
 def test_register_channels_match_dense_oracle(n):
+    m = n // 2
     rng = np.random.default_rng((41, n))
     rho = random_density(1 << n, rng)
-    labels = tuple((q + 1, "A") for q in range(n))
-    reg = PairRegister(rho, labels)
-    for i, j in permutations(range(n), 2):
-        for gate in (CNOT, CZ):
+    r = pauli_register(rho)
+    assert np.abs(dense_register(r) - rho).max() < 1e-15
+    reg = PairRegister(rho, tuple((q // 2, "AB"[q % 2]) for q in range(n)))
+    for c, t in permutations(range(m), 2):
+        for kind in ("CNOT", "CZ"):
             for p_g in (1.0, 0.97):
-                got = depolarize_gate(reg, gate, (i, j), p_g).rho
-                assert np.abs(got - _dense_gate(rho, n, gate, (i, j), p_g)).max() < 1e-14
-        # pair 0 with Alice's qubit at i and Bob's at j
-        pair = PairRegister(rho, labels[:i] + ((0, "A"),) + labels[i + 1 :])
-        pair = PairRegister(rho, pair.qubits[:j] + ((0, "B"),) + pair.qubits[j + 1 :])
-        ops = [I2] * n
-        ops[i], ops[j] = ROT_ALICE, ROT_BOB
-        full = ops[0]
-        for op in ops[1:]:
-            full = np.kron(full, op)
-        got = _rotate_pair(pair, 0).rho
-        assert np.abs(got - full @ rho @ full.conj().T).max() < 1e-14
-    for q in range(n):
+                got = dense_register(pauli_clifford(r, kind, (c, t), p_g))
+                want = bilateral_gate(reg, TWO_QUBIT_GATES[kind], c, t, p_g).rho
+                assert np.abs(got - want).max() < 1e-15
+    noise = NoiseParams(t1=1.0, t2=0.8)
+    for i in range(m):
+        got = dense_register(pauli_clifford(r, "ROT", (i,)))
+        assert np.abs(got - rotate_pair(reg, i).rho).max() < 1e-15
+        got = dense_register(pauli_decohere(r, i, 0.3, noise))
+        assert np.abs(got - decohere(reg, (2 * i, 2 * i + 1), 0.3, noise).rho).max() < 1e-15
         for basis in ("X", "Y", "Z"):
             for p_m in (1.0, 0.93):
-                got = measurement_branches(rho, q, n, basis, p_m)
-                want = _dense_branches(rho, n, q, basis, p_m)
-                for g, w in zip(got, want):
-                    assert g.shape == (1 << (n - 1), 1 << (n - 1))
-                    assert np.abs(g - w).max() < 1e-14
+                for u in BRANCH_UNIFORMS:
+                    out_a, out_b, post, prob = pauli_measure(r, i, basis, p_m, QueuedU(*u))
+                    want_a, want_b, want, want_prob = measure_pair(reg, i, basis, p_m, QueuedU(*u))
+                    assert (out_a, out_b) == (want_a, want_b)
+                    assert abs(prob - want_prob) < 1e-15
+                    assert post.shape == (4,) * (n - 2)
+                    assert np.abs(dense_register(post) - want.rho).max() < 1e-15
+    other = random_density(4, rng)
+    joined = np.multiply.outer(r, to_pauli(other))
+    assert np.abs(dense_register(joined) - np.kron(rho, other)).max() < 1e-15
 
 
 @pytest.mark.parametrize("p_g, p_m", ((0.99, 0.99), (1.0, 1.0), (0.9, 0.95)))
@@ -286,11 +280,11 @@ def test_step_branch_maps_match_dense_oracle(p_g, p_m):
         for col in range(16):
             basis = np.zeros((16, 16), dtype=complex)
             basis[row, col] = 1.0
-            rho = r16 @ basis @ r16.conj().T
-            rho = _dense_gate(rho, 4, CNOT, (0, 2), p_g)
-            rho = _dense_gate(rho, 4, CNOT, (1, 3), p_g)
-            for ia, rho_a in enumerate(_dense_branches(rho, 4, 2, "Z", p_m)):
-                for ib, rho_b in enumerate(_dense_branches(rho_a, 3, 2, "Z", p_m)):
+            reg = PairRegister(r16 @ basis @ r16.conj().T, PAIR0 + ((1, "A"), (1, "B")))
+            reg = depolarize_gate(reg, CNOT, (0, 2), p_g)
+            reg = depolarize_gate(reg, CNOT, (1, 3), p_g)
+            for ia, rho_a in enumerate(measurement_branches(reg.rho, 2, 4, "Z", p_m)):
+                for ib, rho_b in enumerate(measurement_branches(rho_a, 2, 3, "Z", p_m)):
                     want[2 * ia + ib, :, row * 16 + col] = rho_b.reshape(-1)
     got = step_branch_maps(p_g, p_m)
     assert np.abs(got - want.reshape(64, 256)).max() < 1e-14
@@ -301,7 +295,7 @@ def test_pauli_rotation_matches_rot_pair():
     for _ in range(20):
         rho = random_density(4, rng)
         want = to_pauli(ROT_PAIR @ rho @ ROT_PAIR.conj().T)
-        assert np.abs(_rotate_pauli(to_pauli(rho)) - want).max() < 1e-15
+        assert np.abs(pauli_clifford(to_pauli(rho), "ROT", (0,)) - want).max() < 1e-15
 
 
 _RANDOM_NOISE = tuple(np.random.default_rng(21).uniform(0.5, 1.0, size=2))
@@ -396,16 +390,9 @@ def test_decohere_werner_dephasing_oracle():
     noise = NoiseParams(t1=math.inf, t2=t2)
     p_z = 0.5 * (1.0 - math.exp(-dt / t2))
     q = 2.0 * p_z * (1.0 - p_z)
-    out = decohere(register_from_pair(make_werner(f0), 0), (0, 1), dt, noise)
+    out = pauli_decohere(to_pauli(make_werner(f0)), 0, dt, noise)
     want = (1.0 - q) * f0 + q * (1.0 - f0) / 3.0
-    assert abs(fidelity(out.rho) - want) < 1e-12
-
-
-def _dense_decohere(reg, qubits, dt, noise):
-    for q in qubits:
-        reg = amplitude_damp(reg, q, dt, noise.t1)
-        reg = dephase(reg, q, dt, noise.t1, noise.t2)
-    return reg
+    assert abs(fidelity(from_pauli(out)) - want) < 1e-12
 
 
 @pytest.mark.parametrize("n_pairs", (1, 2, 3))
@@ -420,10 +407,10 @@ def test_decohere_matches_dense_kraus_oracle(n_pairs, t1, t2, dt_kind):
     rng = np.random.default_rng((n_pairs, int(t1 < math.inf), int(t2 < math.inf)))
     labels = tuple((i // 2, "AB"[i % 2]) for i in range(n))
     reg = PairRegister(random_density(1 << n, rng), labels)
-    # every single qubit, then the two outermost ones (non-adjacent from 2 pairs on)
-    for qubits in [(q,) for q in range(n)] + [(0, n - 1)]:
-        got = decohere(reg, qubits, dt, noise).rho
-        want = _dense_decohere(reg, qubits, dt, noise).rho
+    r = pauli_register(reg.rho)
+    for i in range(n_pairs):  # both qubits of every pair
+        got = dense_register(pauli_decohere(r, i, dt, noise))
+        want = decohere(reg, (2 * i, 2 * i + 1), dt, noise).rho
         assert np.abs(got - want).max() < 1e-14
 
 
@@ -437,22 +424,23 @@ def test_pair_decohere_matches_register_decohere(t1, t2, dt_kind):
     rng = np.random.default_rng((int(t1 < math.inf), int(t2 < math.inf)))
     for rho in (random_density(4, rng), make_werner(0.9)):
         want = to_pauli(decohere(register_from_pair(rho, 0), (0, 1), dt, noise).rho)
-        assert np.abs(pair_decohere(to_pauli(rho), dt, noise) - want).max() < 1e-15
+        assert np.abs(pauli_decohere(to_pauli(rho), 0, dt, noise) - want).max() < 1e-15
 
 
 def test_pair_decohere_checks():
     r = to_pauli(make_werner(0.6))
-    assert pair_decohere(r, 0.0, NoiseParams()) is r
+    assert pauli_decohere(r, 0, 0.0, NoiseParams()) is r
     with pytest.raises(ValueError):
-        pair_decohere(r, -1.0, NoiseParams())
+        pauli_decohere(r, 0, -1.0, NoiseParams())
 
 
 def test_decohere_identity_at_zero():
-    reg = register_from_pair(make_werner(0.6), 0)
-    out = decohere(reg, (0, 1), 0.0, NoiseParams())
+    w = to_pauli(make_werner(0.6))
+    reg = np.multiply.outer(w, w)
+    out = pauli_decohere(reg, 1, 0.0, NoiseParams())
     assert out is reg
     with pytest.raises(ValueError):
-        decohere(reg, (0, 1), -1.0, NoiseParams())
+        pauli_decohere(reg, 1, -1.0, NoiseParams())
 
 
 # --- photon loss ---

@@ -434,6 +434,49 @@ def test_pool_leaves_blas_thread_variables_as_found(tmp_path, monkeypatch):
     assert pooled == sweep_csv(tmp_path, text, "b.csv")
 
 
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size and maps inline."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers, mp_context=None):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize("cores, threads, want", [
+    (4, "400", [3]),  # three cells: never more workers than tasks
+    (2, "400", [2]),  # nor more than cores
+    (4, "2", [2]),
+    (None, "400", []),  # unknown core count: one core, run serially
+    (4, "1", []),
+])
+def test_pool_size_is_bounded_by_tasks_and_cores(tmp_path, monkeypatch, cores, threads, want):
+    import purlink.cli as cli
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    text = FAST + "protocols = NOP\nn_steps = 0\nsweep_param = f0\nsweep_values = 0.8, 0.85, 0.9\n"
+    pooled = sweep_csv(tmp_path, text, "a.csv", extra=("--threads", threads))
+    assert RecordingPool.sizes == want
+    assert pooled == sweep_csv(tmp_path, text, "b.csv")
+
+
+@pytest.mark.parametrize("threads", ["0", "-5", "two"])
+def test_threads_below_one_is_a_usage_error(tmp_path, capsys, threads):
+    path = cfg_file(tmp_path, FAST + "protocols = NOP\nn_steps = 0\n")
+    assert main(["simulate", path, "--threads", threads]) == 1
+    assert "--threads" in capsys.readouterr().err
+
+
 def test_sweep_protocol_subset_rows_match_full_run(tmp_path):
     shared = MINIMAL + (
         "trials_min = 100\nmax_trials = 100\nseed = 9\n"

@@ -15,8 +15,10 @@ from purlink.protocols import (
     expected_nop_time,
     run_trial,
 )
-from purlink.purify import parse_circuit, run_circuit
+from purlink.purify import parse_circuit
 from purlink.states import check_state, fidelity, make_werner
+
+from dense_oracle import run_circuit
 
 INF = math.inf
 NOISELESS = NoiseParams(p_g=1.0, p_m=1.0, t1=INF, t2=INF)
@@ -53,10 +55,16 @@ MEASURE 1 BASIS Z KEEP equal
 MEASURE 2 BASIS X KEEP equal
 """
 
+# pair 0 is measured alone, in a register of its own
+LONE_MEASURE_TEXT = """PAIRS 2
+MEASURE 0 BASIS X KEEP equal
+"""
+
 CIRCUITS = {
     "dejmps": dejmps_circuit,
     "optimized5": lambda: packaged_circuit("optimized5"),
     "three_pair": lambda: parse_circuit(THREE_PAIR_TEXT),
+    "lone_measure": lambda: parse_circuit(LONE_MEASURE_TEXT),
 }
 
 
@@ -313,7 +321,7 @@ def test_decoherence_audit_covers_every_stored_interval():
 @pytest.mark.parametrize("name", ["BASE", "HOPT", "OPT"])
 @pytest.mark.parametrize("circuit", sorted(CIRCUITS))
 def test_decoherence_audit_circuit_scheme(circuit, name, mbc):
-    # pairs move between lone form and the shared register; every stored
+    # pairs move from registers of their own into joined ones; every stored
     # interval must be decohered exactly once either way
     link = ground(gate_time=1e-6, measure_time=5e-7)
     kind = ProtocolKind(name, measure_before_confirm=mbc)

@@ -14,7 +14,6 @@ from purlink.purify import (
     dejmps_step,
     load_circuit,
     parse_circuit,
-    run_circuit,
 )
 from purlink.states import (
     BellCoeffs,
@@ -25,7 +24,7 @@ from purlink.states import (
     make_werner,
 )
 
-from dense_oracle import dense_pump_step, step_branch_maps
+from dense_oracle import dense_pump_step, run_circuit, step_branch_maps
 
 NOISELESS = NoiseParams(p_g=1.0, p_m=1.0, t1=math.inf, t2=math.inf)
 HI = 1.0 - 1e-12

@@ -7,17 +7,15 @@ from purlink.states import (
     bell_diagonal,
     bell_diagonal_state,
     check_state,
-    embed_single,
-    embed_two,
     fidelity,
-    insert_mixed,
     make_werner,
     from_pauli,
     pauli_expectation,
     to_pauli,
-    trace_out,
 )
 from purlink.states import PAULI_X, PAULI_Z, PHI_PLUS
+
+from dense_oracle import embed_single, embed_two, insert_mixed, trace_out
 
 RNG = np.random.default_rng(20240811)
 

@@ -18,6 +18,7 @@ from .protocols import (
     TrialResult,
     expected_nop_time,
     run_trial,
+    run_trials,
 )
 from .purify import (
     PurificationCircuit,
@@ -59,6 +60,7 @@ __all__ = [
     "parse_circuit",
     "parse_config",
     "run_trial",
+    "run_trials",
     "skf_bb84",
     "__version__",
 ]

@@ -1,8 +1,9 @@
 """Monte Carlo estimation with confidence-interval control, and BB84 key metrics.
 
-estimate() drives run_trial until the 95% CI halfwidths of both the mean
-fidelity and the delivery rate fall below a relative target, then scores the
-trial-averaged state with the BB84 secret-key fraction.
+estimate() runs trials in lockstep batches (protocols.run_trials) until the
+95% CI halfwidths of both the mean fidelity and the delivery rate fall below
+a relative target, then scores the trial-averaged state with the BB84
+secret-key fraction.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 
 from .channels import NoiseParams
 from .linkmodel import LinkConfig
-from .protocols import ProtocolKind, Scheme, run_trial
+from .protocols import ProtocolKind, Scheme, batch_lanes, run_trials
 from .states import TwoQubitState, fidelity, pauli_expectation
 
 SKF_MODES = ("qber", "raw")
@@ -66,6 +67,8 @@ class Estimates:
     n_trials: int
     mean_state: TwoQubitState
     converged: bool
+    mean_pairs: float  # pairs consumed per delivery
+    mean_restarts: float  # episode restarts per delivery
 
 
 def _seed_tuple(seed) -> tuple[int, ...]:
@@ -92,8 +95,10 @@ def estimate(
     capped at max_trials, default 20x n_min) until the 95% CI halfwidth of
     both the fidelity and the rate is below ci_target of the respective
     mean. Trial i draws from a generator seeded with (*seed, i), so results
-    are reproducible and independent of batching. If the cap is reached
-    first the result is flagged converged=False but still reported.
+    are reproducible and independent of batching. Each batch runs through
+    run_trials in chunks of protocols.batch_lanes trials, so memory does not
+    grow with n_min. If the cap is reached first the result is flagged
+    converged=False but still reported.
 
     The SKR applies skf_bb84 to the trial-averaged density matrix, not to
     per-trial states, and multiplies by the delivery rate.
@@ -109,19 +114,24 @@ def estimate(
         raise ValueError("max_trials must be at least n_min")
 
     base = _seed_tuple(seed)
+    chunk = batch_lanes(kind, scheme)
     times: list[float] = []
     fids: list[float] = []
+    pairs: list[int] = []
+    restarts: list[int] = []
     state_sum = np.zeros((4, 4), dtype=complex)
 
     def run_batch(count: int) -> None:
         nonlocal state_sum
         start = len(times)
-        for i in range(start, start + count):
-            rng = np.random.default_rng((*base, i))
-            res = run_trial(kind, scheme, link, noise, rng)
-            times.append(res.completion_time)
-            fids.append(fidelity(res.output_state))
-            state_sum = state_sum + res.output_state
+        for lo in range(start, start + count, chunk):
+            rngs = [np.random.default_rng((*base, i)) for i in range(lo, min(lo + chunk, start + count))]
+            for res in run_trials(kind, scheme, link, noise, rngs):
+                times.append(res.completion_time)
+                fids.append(fidelity(res.output_state))
+                pairs.append(res.pairs_consumed)
+                restarts.append(res.restarts)
+                state_sum = state_sum + res.output_state
 
     def within_target() -> bool:
         mean_f = float(np.mean(fids))
@@ -151,4 +161,6 @@ def estimate(
         n_trials=n,
         mean_state=mean_state,
         converged=converged,
+        mean_pairs=float(np.mean(pairs)),
+        mean_restarts=float(np.mean(restarts)),
     )

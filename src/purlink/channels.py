@@ -82,30 +82,57 @@ def readout(p_m: float) -> np.ndarray:
     return read
 
 
-def sample_branches(branches: np.ndarray, rng) -> tuple[int, int, np.ndarray, float]:
-    """Draw Alice's outcome, then Bob's, from the four branches of a pair measurement.
+def sample_branches(branches: np.ndarray, u) -> tuple[list, list, np.ndarray, list]:
+    """Draw Alice's outcome, then Bob's, from the four branches of a pair measurement, lane by lane.
 
-    Column b of branches is branch b's unnormalized Pauli form, in the order
-    of readout; row 0, the identity string, is its weight. Returns (out_a,
-    out_b, post, prob) with post the drawn column renormalized.
+    branches[i, :, b] is lane i's branch b, an unnormalized Pauli form in the
+    order of readout whose entry 0, the identity string, is its weight;
+    u[i] holds lane i's two uniforms, Alice's first. Returns (out_a, out_b,
+    post, prob): the +1/-1 outcomes and the drawn branch's probability as
+    lists over the lanes, and post, the drawn columns renormalized. The
+    draws are scalar arithmetic per lane, so a lane's outcome does not
+    depend on its batch.
     """
-    traces = branches[0].tolist()
-    total = sum(traces)
-    if total < 1e-15:
-        raise ImpossibleOutcomeError("all measurement branches have vanishing probability")
-    out_a = 1 if rng.random() < (traces[0] + traces[1]) / total else -1
-    base = 0 if out_a == 1 else 2
-    sub = traces[base] + traces[base + 1]
-    if sub < 1e-15:
-        raise ImpossibleOutcomeError("selected measurement branch is impossible")
-    out_b = 1 if rng.random() < traces[base] / sub else -1
-    idx = base + (0 if out_b == 1 else 1)
-    if traces[idx] < 1e-15:
-        raise ImpossibleOutcomeError("selected measurement branch is impossible")
-    return out_a, out_b, branches[:, idx] / traces[idx], traces[idx] / total
+    outs_a, outs_b, drawn, weights, probs = [], [], [], [], []
+    for (t0, t1, t2, t3), (u_a, u_b) in zip(branches[:, 0].tolist(), u):
+        total = t0 + t1 + t2 + t3
+        if total < 1e-15:
+            raise ImpossibleOutcomeError("all measurement branches have vanishing probability")
+        out_a = 1 if u_a < (t0 + t1) / total else -1
+        base, first, second = (0, t0, t1) if out_a == 1 else (2, t2, t3)
+        sub = first + second
+        if sub < 1e-15:
+            raise ImpossibleOutcomeError("selected measurement branch is impossible")
+        out_b = 1 if u_b < first / sub else -1
+        weight = first if out_b == 1 else second
+        if weight < 1e-15:
+            raise ImpossibleOutcomeError("selected measurement branch is impossible")
+        outs_a.append(out_a)
+        outs_b.append(out_b)
+        drawn.append(base + (out_b == -1))
+        weights.append(weight)
+        probs.append(weight / total)
+    post = branches[np.arange(len(drawn)), :, drawn] / np.array(weights)[:, None]
+    return outs_a, outs_b, post, probs
 
 
 _BASIS_INDEX = {"X": 1, "Y": 2, "Z": 3}
+
+
+def measure_branches(r: np.ndarray, pair: int, basis: str, p_m: float) -> np.ndarray:
+    """The four outcome branches of measuring pair `pair` of each lane's register.
+
+    r holds one flat register per row. Only the strings with I or the basis
+    Pauli on the measured axes contribute, weighted through readout; the
+    result has shape (lanes, rest, 4), rest the size of the other pairs'
+    register.
+    """
+    if basis not in _BASIS_INDEX:
+        raise ValueError(f"measurement basis must be X, Y or Z, got {basis!r}")
+    keep = [0, _BASIS_INDEX[basis]]
+    lanes = r.shape[0]
+    sel = r.reshape(lanes, 16**pair, 4, 4, -1)[:, :, keep][:, :, :, keep]
+    return np.matmul(sel.transpose(0, 1, 4, 2, 3).reshape(lanes, -1, 4), readout(p_m))
 
 
 def pauli_measure(
@@ -114,18 +141,13 @@ def pauli_measure(
     """Measure both qubits of the pair at position `pair` in a Pauli basis and drop them.
 
     Each qubit declares outcome o with the imperfect projection
-    p_m P_o + (1-p_m) P_!o. Only the strings with I or the basis Pauli on the
-    measured axes contribute, weighted through readout. Returns (out_a, out_b,
-    rest, prob): rest is the renormalized register of the other pairs, prob
-    the probability of the drawn branch.
+    p_m P_o + (1-p_m) P_!o. Returns (out_a, out_b, rest, prob): rest is the
+    renormalized register of the other pairs, prob the probability of the
+    drawn branch. The batch of one of measure_branches and sample_branches.
     """
-    if basis not in _BASIS_INDEX:
-        raise ValueError(f"measurement basis must be X, Y or Z, got {basis!r}")
-    keep = [0, _BASIS_INDEX[basis]]
-    sel = r.reshape(16**pair, 4, 4, -1)[:, keep][:, :, keep]
-    branches = np.dot(sel.transpose(0, 3, 1, 2).reshape(-1, 4), readout(p_m))
-    out_a, out_b, post, prob = sample_branches(branches, rng)
-    return out_a, out_b, post.reshape(r.shape[2:]), prob
+    branches = measure_branches(r.reshape(1, -1), pair, basis, p_m)
+    out_a, out_b, post, prob = sample_branches(branches, [(rng.random(), rng.random())])
+    return out_a[0], out_b[0], post[0].reshape(r.shape[2:]), prob[0]
 
 
 # ---------------------------------------------------------------------------
@@ -149,41 +171,65 @@ def _dephasing_pz(t: float, t1: float, t2: float) -> float:
     return 0.5 * (1.0 - math.exp(-decay + revive))
 
 
-def _memory_decay(dt: float, noise: NoiseParams) -> tuple[float, float]:
-    """(lam, c) of the memory channel: the damping and the coherence factor."""
-    lam = _damping_lambda(dt, noise.t1)
-    p_z = _dephasing_pz(dt, noise.t1, noise.t2)
-    return lam, math.sqrt(1.0 - lam) * (1.0 - 2.0 * p_z)
+def decay_transfer(dts, noise: NoiseParams) -> np.ndarray:
+    """The one-qubit transfer matrix T of the memory channel for each duration, stacked.
+
+    On a qubit's (I, X, Y, Z) axis,
+    T = [[1, 0, 0, 0], [0, c, 0, 0], [0, 0, c, 0], [lam, 0, 0, 1-lam]] with
+    lam = _damping_lambda and c = sqrt(1-lam) (1-2 p_z), p_z = _dephasing_pz,
+    inlined here term for term. They are computed lane by lane with math,
+    so a lane's T does not depend on its batch.
+    """
+    t1, t2 = noise.t1, noise.t2
+    damped, dephased = not math.isinf(t1), not math.isinf(t2)
+    exp, sqrt = math.exp, math.sqrt
+    lams, cs = [], []
+    for dt in dts:
+        if dt < 0:
+            raise ValueError(f"negative duration {dt}")
+        lam = 1.0 - exp(-dt / t1) if damped else 0.0
+        p_z = 0.5 * (1.0 - exp(-(dt / t2 if dephased else 0.0) + (dt / (2.0 * t1) if damped else 0.0)))
+        lams.append(lam)
+        cs.append(sqrt(1.0 - lam) * (1.0 - 2.0 * p_z))
+    t = np.zeros((len(lams), 16))
+    t[:, 0] = 1.0
+    t[:, 5] = t[:, 10] = cs
+    t[:, 12] = lams
+    t[:, 15] = 1.0 - t[:, 12]
+    return t.reshape(-1, 4, 4)
 
 
-_EYE4 = np.eye(4)
+def decohere_lanes(r: np.ndarray, pair: int, t: np.ndarray) -> np.ndarray:
+    """Apply lane i's T (see decay_transfer) to both axes of pair `pair` of row i of r.
+
+    r holds one flat register per row. Each lane takes the same two stacked
+    products whatever the batch, so a lane's result does not depend on it.
+    """
+    lanes, size = r.shape
+    if size == 16:  # a lone pair: T R T^T
+        return np.matmul(np.matmul(t, r.reshape(lanes, 4, 4)), t.transpose(0, 2, 1)).reshape(lanes, 16)
+    # each register as (pre, A, B, post): T on A as rows of a matrix, then on
+    # B as columns
+    pre = 16**pair
+    post = size // (16 * pre)
+    x = np.matmul(t, r.reshape(lanes, pre, 4, -1).transpose(0, 2, 1, 3).reshape(lanes, 4, -1))
+    y = np.matmul(
+        x.reshape(lanes, 4, pre, 4, post).transpose(0, 1, 2, 4, 3).reshape(lanes, -1, 4),
+        t.transpose(0, 2, 1),
+    )
+    return y.reshape(lanes, 4, pre, post, 4).transpose(0, 2, 1, 4, 3).reshape(lanes, size)
 
 
 def pauli_decohere(r: np.ndarray, pair: int, dt: float, noise: NoiseParams) -> np.ndarray:
     """Amplitude damping then dephasing for dt on both qubits of one pair.
 
-    On one qubit's (I, X, Y, Z) axis the channel is
-    T = [[1, 0, 0, 0], [0, c, 0, 0], [0, 0, c, 0], [lam, 0, 0, 1-lam]] with
-    lam the damping and c = sqrt(1-lam) (1-2 p_z), so a lone pair maps to
-    T R T^T.
+    The batch of one of decohere_lanes: a lone pair maps to T R T^T.
     """
     if dt < 0:
         raise ValueError(f"negative duration {dt}")
     if dt == 0.0:
         return r
-    lam, c = _memory_decay(dt, noise)
-    t = _EYE4.copy()
-    t[1, 1] = t[2, 2] = c
-    t[3, 0], t[3, 3] = lam, 1.0 - lam
-    if r.ndim == 2:  # every pumping pair: the reshapes below cost more than the products
-        return np.dot(np.dot(t, r), t.T)
-    # r as (pre, A, B, post); the same two products, T on A as rows of a
-    # matrix, then on B as columns
-    pre = 16**pair
-    post = r.size // (16 * pre)
-    x = np.dot(t, r.reshape(pre, 4, -1).transpose(1, 0, 2).reshape(4, -1))
-    y = np.dot(x.reshape(4, pre, 4, post).transpose(0, 1, 3, 2).reshape(-1, 4), t.T)
-    return y.reshape(4, pre, post, 4).transpose(1, 0, 3, 2).reshape(r.shape)
+    return decohere_lanes(r.reshape(1, -1), pair, decay_transfer((dt,), noise)).reshape(r.shape)
 
 
 # ---------------------------------------------------------------------------

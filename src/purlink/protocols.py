@@ -19,18 +19,26 @@ events that touch it.
 
 Every pair lives in a register held in Pauli transfer form (see channels):
 a pair starts alone, as the real 4x4 matrix of states.to_pauli, and a gate
-joins the registers of its two pairs. Registers decohere through
-channels.pauli_decohere, are rotated and gated by purify.pauli_clifford and
-measured by channels.pauli_measure; pumping steps run purify._pump_step.
-TrialResult.output_state is always a 4x4 density matrix, converted once at
-delivery.
+joins the registers of its two pairs. TrialResult.output_state is always a
+4x4 density matrix, converted once at delivery.
 
-Every trial except the blind OPT pipeline (_opt_blind_trial) runs in
-_timed_trial, which executes a purification circuit; Pumping(n) is compiled
+Every trial except the blind OPT pipeline (_opt_blind_trial) runs in the
+lockstep engine, run_trials, which executes a purification circuit for one
+lane per generator; run_trial is its batch of one. Pumping(n) is compiled
 into a circuit of n fused steps, and raw delivery (NOP, whatever the scheme)
-is the empty circuit Pumping(0) with no partner slot to hold. Blind OPT keeps
-its own engine because it samples whole fixed-stride rounds instead of
-source ticks. The engine keeps two timing rules, one per instruction form:
+is the empty circuit Pumping(0) with no partner slot to hold. Each round,
+every live lane does its scalar bookkeeping (acquisition tick by tick from
+prefetched uniforms, timing, restarts) up to its next measurement or
+delivery, and the lanes are grouped by the run of instructions they
+reached. A group's state operations run once over its lanes: registers
+decohere through channels.decohere_lanes, are rotated and gated by
+purify.clifford_lanes and measured by channels.measure_branches; pumping
+steps run purify._pump_step, and channels.sample_branches draws the
+outcomes lane by lane. A lane draws its own uniforms in the order a lone
+trial would and does its own arithmetic, so its result is bit-identical in
+a batch of any size. Blind OPT keeps its own engine, trial by trial,
+because it samples whole fixed-stride rounds instead of source ticks. The
+engine keeps two timing rules, one per instruction form:
 
   DSL instructions (ROT, GATE, MEASURE) dispatch eagerly: each fires as
   soon as its operands are usable and the local timeline is free, so a
@@ -46,6 +54,7 @@ delivered state entries differ by up to 4.7e-4 at t2 = 1 s.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heappop, heappush
@@ -53,9 +62,9 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .channels import NoiseParams, pauli_decohere, pauli_measure
+from .channels import NoiseParams, decay_transfer, decohere_lanes, measure_branches, pauli_decohere, sample_branches
 from .linkmodel import LinkConfig, attempt_success_prob, link_delays, per_photon_survival
-from .purify import Gate, Measure, PurificationCircuit, Rot, _pump_step, _step_tables, pauli_clifford
+from .purify import Gate, Measure, PurificationCircuit, Rot, _pump_step, _step_tables, clifford_lanes
 from .states import TwoQubitState, from_pauli, make_werner, to_pauli
 
 PROTOCOL_NAMES = ("NOP", "BASE", "HOPT", "OPT")
@@ -138,16 +147,6 @@ class _Kernel:
         self.werner = to_pauli(make_werner(link.f0))
         self.werner.setflags(write=False)  # shared by every trial of the cell
 
-    # -- timing helpers ----------------------------------------------------
-    def tick_from_emission(self, ref: float) -> int:
-        """First tick whose emission time is at or after ref."""
-        return max(1, math.ceil(ref / self.period - _TICK_EPS))
-
-    def tick_from_arrival(self, floor: float) -> int:
-        """First tick whose arrival time is at or after floor."""
-        k = math.ceil((floor - self.photon_delay) / self.period - _TICK_EPS)
-        return max(1, k)
-
     def arrival(self, k: int) -> float:
         return k * self.period + self.photon_delay
 
@@ -207,37 +206,7 @@ class _Trace:
 
 
 # ---------------------------------------------------------------------------
-# Acquisition. Draws two uniforms per tick (Alice's photon, then Bob's).
-
-
-def _acquire(
-    kernel: _Kernel, rng, k_min: int, floor: float, hold: Optional[float], trace: _Trace
-):
-    """Advance through source ticks until a pair is stored at both nodes.
-
-    Returns (ok, k, arrival). A one-sided loss keeps the survivor's slot for
-    hold seconds after the lost tick's arrival, then retries: BASE and HOPT
-    hold it until the failure herald crosses; NOP reserves no partner slot
-    (hold = 0.0), so the retry is the next tick. With hold=None (OPT) it
-    returns ok=False so the caller can restart.
-    """
-    k = max(k_min, kernel.tick_from_arrival(floor))
-    while True:
-        got_a = rng.random() < kernel.p_photon
-        got_b = rng.random() < kernel.p_photon
-        arrival = kernel.arrival(k)
-        if got_a and got_b:
-            return True, k, arrival
-        if not got_a and not got_b:
-            k += 1
-            continue
-        if trace.live:
-            loser = "B" if got_a else "A"
-            trace.event(arrival, loser, "photon_lost", f"tick={k}")
-            trace.message(arrival, loser, Message(arrival, arrival + kernel.herald_delay, "herald_fail"))
-        if hold is None:
-            return False, k, arrival
-        k = max(k + 1, kernel.tick_from_arrival(arrival + hold))
+# Blind OPT: its own engine, on scalar draws.
 
 
 def _geometric_gap(rng, eta: float) -> int:
@@ -307,7 +276,9 @@ def _opt_blind_trial(kernel: _Kernel, n_steps: int, rng, trace: _Trace) -> Trial
             trace.decohered(0, tau_end - last_touch)
             sac = pauli_decohere(kernel.werner, 0, tau_end - a_sac, noise)
             trace.decohered(step, tau_end - a_sac)
-            out_a, out_b, post, _ = _pump_step(tables, main, sac, rng)
+            (out_a,), (out_b,), post, _ = _pump_step(
+                tables, main.reshape(1, 16), sac.reshape(1, 16), [(rng.random(), rng.random())])
+            post = post.reshape(4, 4)
             if trace.live:
                 trace.event(tau_end, "AB", "purify_step", f"step={step} a={out_a:+d} b={out_b:+d}")
             trace.closed(step, tau_end)
@@ -325,7 +296,7 @@ def _opt_blind_trial(kernel: _Kernel, n_steps: int, rng, trace: _Trace) -> Trial
 
 
 # ---------------------------------------------------------------------------
-# The timed circuit engine.
+# The lockstep engine.
 
 
 @dataclass(frozen=True, eq=False)  # identity hash keeps _compile lookups cheap
@@ -352,14 +323,23 @@ _ROT, _GATE, _MEASURE, _STEP, _DELIVER = range(5)
 
 @lru_cache(maxsize=32)
 def _compile(circ: PurificationCircuit) -> tuple:
-    """Flatten a circuit to (code, operands, fresh, arg) entries.
+    """Flatten a circuit to (code, operands, fresh, op, keep, seed) entries, plus register sizes.
 
     fresh lists the pairs first referenced by the entry, which are acquired
     in that order before it runs. A final _DELIVER entry acquires the
-    survivor if no instruction touched it.
+    survivor if no instruction touched it. op = (code, loads, out, arg,
+    positions) is the entry's state operation; lanes whose runs of ops are
+    equal run together. It names each register by its pairs in axis order,
+    which the program fixes at every entry, since joins and measurements
+    never depend on outcomes. loads holds (register, position, fresh) per operand, fresh
+    meaning still the source pair; out is the register written. keep is a
+    measurement's keep_equal. A step's sacrifice is the register None, and
+    seed names its main pair's register if that pair is fresh: the walk
+    stores the source pair there, so all steps of a pumping circuit share
+    one op. The second result maps every register written to its size.
     """
     program = []
-    seen: set[int] = set()
+    layout: dict[int, tuple] = {}  # the register of each live pair
     for instr in circ.instructions:
         if isinstance(instr, Rot):
             code, operands, arg = _ROT, (instr.pair,), "ROT"
@@ -369,91 +349,301 @@ def _compile(circ: PurificationCircuit) -> tuple:
             code, operands, arg = _MEASURE, (instr.pair,), instr
         else:
             code, operands, arg = _STEP, (instr.main, instr.pair), None
-        fresh = tuple(p for p in operands if p not in seen)
-        seen.update(fresh)
-        program.append((code, operands, fresh, arg))
-    fresh = () if circ.survivor in seen else (circ.survivor,)
-    program.append((_DELIVER, (), fresh, None))
-    return tuple(program)
-
-
-def _timed_trial(
-    kernel: _Kernel, kind: ProtocolKind, circ: PurificationCircuit, rng, trace: _Trace
-) -> TrialResult:
-    """Run circuit episodes from empty memories until one delivers.
-
-    held maps each pair to the register that holds it: a [state, pairs]
-    list, shared by the pairs it holds, with pairs in axis order. A pair
-    arrives in a register of its own, a GATE on pairs of two registers joins
-    them, and a MEASURE drops the pair from its register. Pairs take memory
-    slots in arrival order; a slot frees at the measurement of the pair
-    holding it, and under BASE a new pair is also held back until every
-    earlier outcome is checked. A lost photon (OPT), a mismatch (without
-    measure_before_confirm) or a filtered delivery (with it) restarts the
-    episode from the moment it is known.
-    Raw delivery (NOP) runs the empty circuit of Pumping(0).
-    """
-    program = _compile(circ)
+        fresh = tuple(p for p in operands if p not in layout)
+        layout.update((p, (p,)) for p in fresh)
+        loads = tuple((layout[p], layout[p].index(p), p in fresh) for p in operands)
+        positions = keep = seed = None
+        if code == _STEP:
+            out = layout[instr.main]
+            loads = ((out, 0, False), (None, 0, True))
+            seed = out if instr.main in fresh else None
+        elif code == _MEASURE:
+            out = tuple(q for q in layout.pop(instr.pair) if q != instr.pair)
+            arg, keep = instr.basis, instr.keep_equal
+        else:
+            first, reg = layout[operands[0]], layout[operands[-1]]
+            out = reg if first == reg else first + reg  # a GATE joins its pairs' registers
+            positions = tuple(map(out.index, operands))
+        layout.update((q, out) for q in out)
+        program.append((code, operands, fresh, (code, loads, out, arg, positions), keep, seed))
     survivor = circ.survivor
-    n_pairs = circ.num_pairs
+    fresh = () if survivor in layout else (survivor,)
+    loads = (((survivor,), 0, bool(fresh)),)
+    program.append((_DELIVER, (), fresh, (_DELIVER, loads, (), None, None), None, None))
+    sizes = {entry[3][2]: 16 ** len(entry[3][2]) for entry in program if entry[3][2]}
+    return tuple(program), sizes
+
+
+# Each lane prefetches its uniforms in blocks that double up to _MAX_BLOCK;
+# rng.random(n) yields the same numbers as n scalar draws.
+_FIRST_BLOCK = 32
+_MAX_BLOCK = 128
+_BATCH_ELEMENTS = 1 << 16  # floats one batch of lanes may hold (see batch_lanes)
+
+
+class _Lane:
+    """One trial of a batch: its uniforms, its totals and its episode's clocks."""
+
+    __slots__ = (
+        "rng", "buf", "pos", "block", "trace", "pairs", "restarts", "usable", "touched", "pc",
+        "slot_free", "k_last", "last_arrival", "check_floor", "mismatch_resolve", "t_local",
+        "steps", "dts", "u", "row",
+    )
+
+    def __init__(self, rng, trace: _Trace, n_pairs: int, row: int):
+        self.rng = rng
+        self.row = row  # in the batch's register store
+        self.buf = array("d")
+        self.pos = 0
+        self.block = _FIRST_BLOCK
+        self.trace = trace
+        self.pairs = self.restarts = 0
+        self.usable = [0.0] * n_pairs  # local time from which each pair may be used
+        self.touched = [0.0] * n_pairs  # time each pair is decohered up to
+
+    def refill(self) -> array:
+        """Append the next block of uniforms; a scripted stand-in may return fewer."""
+        self.buf = self.buf[self.pos:] + array("d", self.rng.random(self.block).tobytes())
+        self.pos = 0
+        self.block = min(2 * self.block, _MAX_BLOCK)
+        return self.buf
+
+    def uniforms(self) -> tuple[float, float]:
+        """The lane's next two uniforms: two per source tick, two per outcome."""
+        buf, i = self.buf, self.pos
+        while i + 2 > len(buf):
+            buf, i = self.refill(), 0
+        self.pos = i + 2
+        return buf[i], buf[i + 1]
+
+
+class _Batch:
+    """The registers of every lane of a batch, and its grouped state operations.
+
+    A register named by its pairs lives in row i of store[pairs] for lane i.
+    An op runs once per group of lanes: it decoheres each operand for its
+    lane's duration (rows with none keep theirs), then steps, measures,
+    gates or delivers through the stacked channels, so a lane's numbers do
+    not depend on the batch.
+    """
+
+    def __init__(self, kernel: _Kernel, sizes: dict, lanes: int):
+        self.noise = kernel.noise
+        self.werner = kernel.werner.reshape(16)
+        self.store = {key: np.empty((lanes, size)) for key, size in sizes.items()}
+        self.tables = _step_tables(self.noise.p_g, self.noise.p_m)
+
+    def decohere(self, r: np.ndarray, pair: int, dts: list) -> np.ndarray:
+        busy = [j for j, dt in enumerate(dts) if dt > 0.0]
+        if len(busy) == len(dts):
+            return decohere_lanes(r, pair, decay_transfer(dts, self.noise))
+        if busy:
+            r = r.copy()
+            r[busy] = decohere_lanes(r[busy], pair, decay_transfer([dts[j] for j in busy], self.noise))
+        return r
+
+    def run(self, ops: tuple, ix: np.ndarray, dts: list, us: Optional[list]):
+        """Apply a run of ops to the lanes ix, dts[i][j] holding lane i's durations for op j.
+
+        Returns the last op's outcome lists, or the delivered states.
+        Registers pass from op to op in hand and are stored at the end.
+        """
+        held: dict = {}
+        for j, (code, loads, out, arg, positions) in enumerate(ops):
+            regs: dict = {}  # in operand order
+            for n, (key, pair, fresh) in enumerate(loads):
+                if key in regs:
+                    r = regs[key]
+                elif fresh:
+                    r = np.tile(self.werner, (len(ix), 1))
+                else:
+                    r = held.pop(key) if key in held else self.store[key][ix]
+                regs[key] = self.decohere(r, pair, [d[j][n] for d in dts])
+            rs = list(regs.values())
+            if code == _DELIVER:
+                return [from_pauli(row) for row in rs[0]]
+            if code == _STEP:
+                *outcome, post, _ = _pump_step(self.tables, rs[0], rs[1], us)
+            elif code == _MEASURE:
+                *outcome, post, _ = sample_branches(measure_branches(rs[0], loads[0][1], arg, self.noise.p_m), us)
+            else:
+                post = rs[0] if len(rs) == 1 else (rs[0][:, :, None] * rs[1][:, None, :]).reshape(len(ix), -1)
+                post = clifford_lanes(post, arg, positions, self.noise.p_g)
+            if out:
+                held[out] = post
+        for key, r in held.items():
+            self.store[key][ix] = r
+        return outcome
+
+
+def _lockstep(
+    kernel: _Kernel, kind: ProtocolKind, circ: PurificationCircuit, rngs, traces
+) -> list[TrialResult]:
+    """Run one lane per generator from empty memories until each delivers.
+
+    Each round walks every live lane through its scalar bookkeeping, in
+    program order, to its next measurement or delivery: acquisition reads
+    the lane's prefetched uniforms, two per source tick, and a restart
+    resets its program counter and walks on. The lanes are then grouped by
+    the run of ops they walked, and each group runs once through _Batch. A
+    lane takes its uniforms in the order a lone trial would and its
+    arithmetic lane by lane, so its result is the same alone and in a batch
+    of any size.
+
+    Pairs take memory slots in arrival order; a slot frees at the
+    measurement of the pair holding it, and under BASE a new pair is also
+    held back until every earlier outcome is checked. A lost photon (OPT),
+    a mismatch (without measure_before_confirm) or a filtered delivery
+    (with it) restarts the episode from the moment it is known. A one-sided
+    loss keeps the survivor's slot for `hold` seconds after the lost tick's
+    arrival, then retries: BASE and HOPT hold it until the failure herald
+    crosses; NOP reserves no partner slot (hold = 0.0), so the retry is the
+    next tick. Raw delivery (NOP) runs the empty circuit of Pumping(0).
+    """
+    program, sizes = _compile(circ)
+    survivor = circ.survivor
     n_slots = circ.max_live
     opt = kind.name == "OPT"
     base = kind.name == "BASE"
     mbc = kind.measure_before_confirm
     herald = kernel.herald_delay
     lag = 0.0 if opt else herald  # the others use a pair once heralded
-    # how long a one-sided loss keeps the survivor's slot (see _acquire)
     hold = None if opt else 0.0 if kind.name == "NOP" else herald
     gate_time = kernel.link.gate_time
     measure_time = kernel.link.measure_time
-    noise = kernel.noise
-    # pumping circuits consist of _STEP entries only, and only they need tables
-    tables = _step_tables(noise.p_g, noise.p_m) if program[0][0] == _STEP else None
-    werner = kernel.werner
-    live = trace.live
-    audit = trace.audit is not None
-    pairs = restarts = 0
-    ref = 0.0
-    while True:
-        usable = [0.0] * n_pairs  # local time from which each pair may be used
-        touched = [0.0] * n_pairs  # time each pair is decohered up to
-        held: list = [None] * n_pairs  # the register of each stored pair
-        slot_free = [0.0] * n_slots  # min-heap of slot release times
-        k_last = kernel.tick_from_emission(ref) - 1
-        last_arrival = 0.0
-        check_floor = 0.0  # when every outcome so far has been checked
-        mismatch_resolve = math.inf
-        t_local = 0.0
-        steps = 0
-        restart = None
-        for code, operands, fresh, arg in program:
+    period, photon_delay, p_photon = kernel.period, kernel.photon_delay, kernel.p_photon
+
+    def begin(lane: _Lane, ref: float) -> None:
+        """Empty the lane's memories at ref; usable and touched are written before use."""
+        k = math.ceil(ref / period - _TICK_EPS)  # the first tick emitted at or after ref
+        lane.k_last = k - 1 if k > 1 else 0
+        lane.pc = lane.steps = 0
+        lane.slot_free = [0.0] * n_slots  # min-heap of slot release times
+        lane.last_arrival = lane.t_local = 0.0
+        lane.check_floor = 0.0  # when every outcome so far has been checked
+        lane.mismatch_resolve = math.inf
+
+    def restart(lane: _Lane, ref: float) -> None:
+        lane.restarts += 1
+        if lane.trace.audit is not None:
+            lane.trace.teardown()
+        begin(lane, ref)
+
+    def acquire(lane: _Lane, k_min: int, floor: float, first: bool) -> tuple[bool, int, float]:
+        """Advance through source ticks until a pair is stored at both nodes.
+
+        Returns (ok, k, arrival). Under OPT a one-sided loss returns ok=False
+        so the lane can restart, except for the first pair of an episode:
+        the episode holds nothing yet, so the restart is counted here and the
+        ticks resume where a new episode's first acquisition starts them.
+        """
+        k = math.ceil((floor - photon_delay) / period - _TICK_EPS)  # first arrival at or after floor
+        if k < k_min:
+            k = k_min
+        buf, i = lane.buf, lane.pos
+        end = len(buf) - 1
+        while True:
+            if i >= end:
+                lane.pos = i
+                buf, i = lane.refill(), 0
+                end = len(buf) - 1
+                continue
+            got_a = buf[i] < p_photon
+            got_b = buf[i + 1] < p_photon
+            i += 2
+            if got_a and got_b:
+                lane.pos = i
+                return True, k, k * period + photon_delay
+            if not got_a and not got_b:
+                k += 1
+                continue
+            arrival = k * period + photon_delay
+            trace = lane.trace
+            if trace.live:
+                loser = "B" if got_a else "A"
+                trace.event(arrival, loser, "photon_lost", f"tick={k}")
+                trace.message(arrival, loser, Message(arrival, arrival + herald, "herald_fail"))
+            if hold is not None:
+                k_hold = math.ceil((arrival + hold - photon_delay) / period - _TICK_EPS)
+                k = k_hold if k_hold > k + 1 else k + 1
+            elif first:
+                lane.restarts += 1
+                if trace.audit is not None:
+                    trace.teardown()
+                k = max(1, math.ceil((arrival + herald) / period - _TICK_EPS))  # the slot floor 0.0 never binds
+            else:
+                lane.pos = i
+                return False, k, arrival
+
+    def walk(lane: _Lane) -> int:
+        """Advance a lane to its next measurement or delivery; return the id of its run of ops.
+
+        Rotations and gates on the way need no outcome, so the lane walks
+        past them; lane.dts collects the durations of each op of the run.
+        """
+        trace = lane.trace
+        live = trace.live
+        audit = trace.audit is not None
+        start = lane.pc
+        lane.dts = []
+        while True:
+            code, operands, fresh, _, _, seed = program[lane.pc]
+            ref = None
             for p in fresh:
-                floor = heappop(slot_free)
-                if base and check_floor > floor:
-                    floor = check_floor
-                ok, k_last, a = _acquire(kernel, rng, k_last + 1, floor, hold, trace)
+                floor = heappop(lane.slot_free)
+                if base and lane.check_floor > floor:
+                    floor = lane.check_floor
+                ok, lane.k_last, a = acquire(lane, lane.k_last + 1, floor, lane.pc == 0 and p == fresh[0])
                 if not ok:
-                    restart = a + herald
+                    ref = a + herald
                     break
-                pairs += 1
-                last_arrival = touched[p] = a
-                usable[p] = a + lag
-                held[p] = [werner, [p]]
+                lane.pairs += 1
+                lane.last_arrival = lane.touched[p] = a
+                lane.usable[p] = a + lag
                 if audit:
                     trace.born(p, a)
                 if live:
                     trace.event(a, "AB", "pair_stored", f"pair={p}")
                     trace.message(a, "A", Message(a, a + herald, "herald_ok"))
-            if restart is not None or code == _DELIVER:
-                break
-
-            tau = t_local
-            for p in operands:
-                if usable[p] > tau:
-                    tau = usable[p]
-            if tau >= mismatch_resolve:
-                restart = mismatch_resolve  # the failure message crossed first
-                break
+            if ref is None and code == _DELIVER:
+                # an untouched survivor is usable on arrival; every other pair
+                # arrived before the instruction that first touched it
+                t_local = max(lane.t_local, lane.last_arrival)
+                if mbc:
+                    completion = t_local
+                    if lane.mismatch_resolve < math.inf:
+                        # Delivered blind and filtered once the messages arrive;
+                        # the round costs time but produces nothing.
+                        ref = completion
+                        if live:
+                            trace.event(completion, "AB", "filtered")
+                else:
+                    completion = max(t_local, lane.last_arrival + herald, lane.check_floor)
+                    if live:
+                        trace.message(t_local, "A", Message(t_local, t_local + herald, "final_confirm"))
+                if ref is None:
+                    dt = completion - lane.touched[survivor]
+                    if audit:
+                        trace.decohered(survivor, dt)
+                        trace.closed(survivor, completion)
+                    if live:
+                        trace.event(completion, "AB", "delivered", f"pair={survivor}")
+                    lane.t_local = completion
+                    lane.dts.append((dt,))
+                    return run_id(start, lane.pc)
+            elif ref is None:
+                tau = lane.t_local
+                usable = lane.usable
+                for p in operands:
+                    if usable[p] > tau:
+                        tau = usable[p]
+                if tau >= lane.mismatch_resolve:
+                    ref = lane.mismatch_resolve  # the failure message crossed first
+            if ref is not None:
+                restart(lane, ref)  # the ops walked so far belonged to the old episode
+                start = 0
+                lane.dts = []
+                continue
 
             if code == _STEP:
                 tau_end = tau + gate_time + measure_time
@@ -463,83 +653,138 @@ def _timed_trial(
                 tau_end = tau + measure_time
             else:
                 tau_end = tau
-            for p in operands:
-                dt = tau_end - touched[p]
-                if dt > 0.0:
-                    reg = held[p]
-                    reg[0] = pauli_decohere(reg[0], reg[1].index(p), dt, noise)
-                    if audit:
-                        trace.decohered(p, dt)
+            touched = lane.touched
+            dts = [tau_end - touched[p] for p in operands]
+            lane.dts.append(dts)
+            for p, dt in zip(operands, dts):
+                if audit and dt > 0.0:
+                    trace.decohered(p, dt)
                 touched[p] = tau_end
-            t_local = tau_end
-            # from here p is the last operand: the rotated or measured pair
+            lane.t_local = tau_end
+            if code == _STEP or code == _MEASURE:
+                if seed:
+                    batch.store[seed][lane.row] = batch.werner
+                lane.u = lane.uniforms()
+                return run_id(start, lane.pc)
+            lane.pc += 1
 
-            if code == _STEP:
-                m = operands[0]
-                out_a, out_b, held[m][0], _ = _pump_step(tables, held[m][0], held[p][0], rng)
-                kept = out_a == out_b
-                if live:
-                    trace.event(tau_end, "AB", "purify_step", f"step={steps + 1} a={out_a:+d} b={out_b:+d}")
-            elif code == _MEASURE:
-                reg = held[p]
-                out_a, out_b, reg[0], _ = pauli_measure(reg[0], reg[1].index(p), arg.basis, noise.p_m, rng)
-                reg[1].remove(p)
-                kept = (out_a == out_b) == arg.keep_equal
-                if live:
-                    trace.event(tau_end, "AB", "measure", f"pair={p} a={out_a:+d} b={out_b:+d}")
-            else:  # ROT or GATE
-                reg = held[p]
-                first = held[operands[0]]
-                if first is not reg:  # a GATE joins the registers of its pairs
-                    reg[0], reg[1] = np.multiply.outer(first[0], reg[0]), first[1] + reg[1]
-                    for q in first[1]:
-                        held[q] = reg
-                reg[0] = pauli_clifford(reg[0], arg, tuple(map(reg[1].index, operands)), noise.p_g)
-                continue
-            # p was measured
-            held[p] = None
-            steps += 1
-            heappush(slot_free, tau_end)
-            check_floor = tau_end + herald
-            if audit:
-                trace.closed(p, tau_end)
-            if live:
-                trace.message(tau_end, "A", Message(tau_end, check_floor, "purify_outcome", steps, out_a))
-            if not kept:
-                if not mbc:
-                    restart = check_floor
-                    break
-                mismatch_resolve = min(mismatch_resolve, check_floor)
-
-        if restart is None:
-            # an untouched survivor is usable on arrival; every other pair
-            # arrived before the instruction that first touched it
-            t_local = max(t_local, last_arrival)
-            if mbc:
-                completion = t_local
-                if mismatch_resolve < math.inf:
-                    # Delivered blind and filtered once the messages arrive;
-                    # the round costs time but produces nothing.
-                    restart = completion
-                    if live:
-                        trace.event(completion, "AB", "filtered")
+    def settle(lane: _Lane, out_a: int, out_b: int) -> None:
+        """Book the outcome of the measurement at the lane's entry."""
+        code, operands, _, _, keep, _ = program[lane.pc]
+        p = operands[-1]
+        trace = lane.trace
+        tau_end = lane.t_local
+        if code == _STEP:
+            kept = out_a == out_b
+            if trace.live:
+                trace.event(tau_end, "AB", "purify_step", f"step={lane.steps + 1} a={out_a:+d} b={out_b:+d}")
+        else:
+            kept = (out_a == out_b) == keep
+            if trace.live:
+                trace.event(tau_end, "AB", "measure", f"pair={p} a={out_a:+d} b={out_b:+d}")
+        lane.steps += 1
+        heappush(lane.slot_free, tau_end)
+        check = lane.check_floor = tau_end + herald
+        if trace.audit is not None:
+            trace.closed(p, tau_end)
+        if trace.live:
+            trace.message(tau_end, "A", Message(tau_end, check, "purify_outcome", lane.steps, out_a))
+        lane.pc += 1
+        if not kept:
+            if not mbc:
+                restart(lane, check)
             else:
-                completion = max(t_local, last_arrival + herald, check_floor)
-                if live:
-                    trace.message(t_local, "A", Message(t_local, t_local + herald, "final_confirm"))
-            if restart is None:
-                dt = completion - touched[survivor]
-                state = from_pauli(pauli_decohere(held[survivor][0], 0, dt, noise))
-                if audit:
-                    trace.decohered(survivor, dt)
-                    trace.closed(survivor, completion)
-                if live:
-                    trace.event(completion, "AB", "delivered", f"pair={survivor}")
-                return TrialResult(completion, state, pairs, steps, restarts)
-        restarts += 1
-        ref = restart
-        if audit:
-            trace.teardown()
+                lane.mismatch_resolve = min(lane.mismatch_resolve, check)
+
+    run_of: dict[tuple, int] = {}  # (first, last) entry -> id of its run of ops
+    run_ids: dict[tuple, int] = {}  # run of ops -> id; equal runs share one
+    run_ops: list[tuple] = []
+
+    def run_id(first: int, last: int) -> int:
+        ident = run_of.get((first, last))
+        if ident is None:
+            ops = tuple(entry[3] for entry in program[first:last + 1])
+            if ops not in run_ids:
+                run_ids[ops] = len(run_ops)
+                run_ops.append(ops)
+            ident = run_of[first, last] = run_ids[ops]
+        return ident
+
+    lanes = [_Lane(rng, trace, circ.num_pairs, row) for row, (rng, trace) in enumerate(zip(rngs, traces))]
+    for lane in lanes:
+        begin(lane, 0.0)
+    batch = _Batch(kernel, sizes, len(lanes))
+    results: list = [None] * len(lanes)
+    active = range(len(lanes))
+    while active:
+        groups: dict[int, list] = {}
+        for i in active:
+            ident = walk(lanes[i])
+            if ident in groups:
+                groups[ident].append(i)
+            else:
+                groups[ident] = [i]
+        for ident, members in groups.items():
+            ops = run_ops[ident]
+            code = ops[-1][0]
+            us = None if code == _DELIVER else [lanes[i].u for i in members]
+            outcome = batch.run(ops, np.array(members), [lanes[i].dts for i in members], us)
+            if code == _DELIVER:
+                for i, state in zip(members, outcome):
+                    lane = lanes[i]
+                    results[i] = TrialResult(lane.t_local, state, lane.pairs, lane.steps, lane.restarts)
+                    lane.buf = lane.rng = None
+            else:
+                for i, a, b in zip(members, *outcome):
+                    settle(lanes[i], a, b)
+        active = [i for i in active if results[i] is None]
+    return results
+
+
+def _circuit(kind: ProtocolKind, scheme: Scheme) -> tuple[ProtocolKind, Optional[PurificationCircuit]]:
+    """The kind and circuit a trial runs; no circuit for blind OPT's own engine."""
+    if isinstance(scheme, Pumping) and kind.name == "OPT" and kind.measure_before_confirm:
+        # Nothing is awaited and nothing is held back for confirmation, so
+        # rounds pipeline back to back on the shared source clock; a bare
+        # pair is just measured on arrival like raw delivery.
+        if scheme.n_steps:
+            return kind, None
+        kind = ProtocolKind("NOP", measure_before_confirm=True)
+    if kind.name == "NOP":
+        return kind, _pumping_circuit(0)  # raw delivery ignores the scheme
+    if isinstance(scheme, Pumping):
+        return kind, _pumping_circuit(scheme.n_steps)
+    if isinstance(scheme, CircuitScheme):
+        return kind, scheme.circuit
+    raise ValueError(f"unknown scheme {scheme!r}")
+
+
+def _run(kind, scheme, link, noise, rngs, traces) -> list[TrialResult]:
+    kernel = _kernel(link, noise)
+    run_kind, circ = _circuit(kind, scheme)
+    if circ is None:
+        return [_opt_blind_trial(kernel, scheme.n_steps, rng, trace) for rng, trace in zip(rngs, traces)]
+    return _lockstep(kernel, run_kind, circ, rngs, traces)
+
+
+def run_trials(
+    kind: ProtocolKind, scheme: Scheme, link: LinkConfig, noise: NoiseParams, rngs
+) -> list[TrialResult]:
+    """Simulate one delivery per generator, all trials in lockstep.
+
+    Result i is trial i's, drawn from rngs[i] alone and equal to
+    run_trial(kind, scheme, link, noise, rngs[i]) whatever the batch. Each
+    generator may be advanced past its trial's last draw.
+    """
+    quiet = _Trace(None, None)  # holds nothing, so every lane can share it
+    return _run(kind, scheme, link, noise, rngs, [quiet] * len(rngs))
+
+
+def batch_lanes(kind: ProtocolKind, scheme: Scheme) -> int:
+    """How many trials one run_trials call should hold: a fixed float budget per batch."""
+    _, circ = _circuit(kind, scheme)
+    per_lane = _MAX_BLOCK + (sum(_compile(circ)[1].values()) if circ is not None else 0)
+    return max(1, _BATCH_ELEMENTS // per_lane)
 
 
 def run_trial(
@@ -552,22 +797,6 @@ def run_trial(
     events: Optional[list] = None,
     audit: Optional[dict] = None,
 ) -> TrialResult:
-    """Simulate one delivery from empty memories to one accepted pair."""
-    kernel = _kernel(link, noise)
-    trace = _Trace(events, audit)
-    if isinstance(scheme, Pumping) and kind.name == "OPT" and kind.measure_before_confirm:
-        # Nothing is awaited and nothing is held back for confirmation, so
-        # rounds pipeline back to back on the shared source clock; a bare
-        # pair is just measured on arrival like raw delivery.
-        if scheme.n_steps:
-            return _opt_blind_trial(kernel, scheme.n_steps, rng, trace)
-        kind = ProtocolKind("NOP", measure_before_confirm=True)
-    if kind.name == "NOP":
-        circ = _pumping_circuit(0)  # raw delivery ignores the scheme
-    elif isinstance(scheme, Pumping):
-        circ = _pumping_circuit(scheme.n_steps)
-    elif isinstance(scheme, CircuitScheme):
-        circ = scheme.circuit
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    return _timed_trial(kernel, kind, circ, rng, trace)
+    """Simulate one delivery from empty memories to one accepted pair: a batch of one."""
+    (result,) = _run(kind, scheme, link, noise, [rng], [_Trace(events, audit)])
+    return result

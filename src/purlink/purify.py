@@ -96,8 +96,14 @@ def pauli_clifford(r: np.ndarray, op: str, pairs: tuple[int, ...], p_g: float = 
     pairs are register positions. The rotation is noiseless; each gate
     depolarizes with success probability p_g.
     """
-    src, fac = _gather(((op, pairs),), r.ndim // 2, p_g)
-    return (r.take(src) * fac).reshape(r.shape)
+    return clifford_lanes(r.reshape(1, -1), op, pairs, p_g).reshape(r.shape)
+
+
+def clifford_lanes(r: np.ndarray, op: str, pairs: tuple[int, ...], p_g: float = 1.0) -> np.ndarray:
+    """pauli_clifford on every row of r, one flat register per lane."""
+    pairs_held = (r.shape[1].bit_length() - 1) // 4  # a row holds 16**pairs_held strings
+    src, fac = _gather(((op, pairs),), pairs_held, p_g)
+    return r[:, src] * fac
 
 
 @lru_cache(maxsize=16)
@@ -120,16 +126,18 @@ def _step_tables(p_g: float, p_m: float) -> tuple[np.ndarray, ...]:
 
 
 def _pump_step(
-    tables: tuple, main: np.ndarray, sac: np.ndarray, rng
-) -> tuple[int, int, np.ndarray, float]:
-    """Sample a step on Pauli-form pairs through channels.sample_branches.
+    tables: tuple, main: np.ndarray, sac: np.ndarray, u
+) -> tuple[list, list, np.ndarray, list]:
+    """Sample a step on each lane's Pauli-form pairs through channels.sample_branches.
 
-    Returns (out_a, out_b, post, prob) with post in Pauli form.
+    main and sac hold one flat pair per row, u each lane's two uniforms.
+    Returns sample_branches' (out_a, out_b, post, prob), post in flat Pauli
+    form. Every lane takes the same elementwise products and one stacked
+    matmul, so its result does not depend on the batch.
     """
     main_idx, sac_idx, gate, read = tables
-    branches = np.dot(gate * main.take(main_idx) * sac.take(sac_idx), read)
-    out_a, out_b, post, prob = sample_branches(branches, rng)
-    return out_a, out_b, post.reshape(4, 4), prob
+    branches = np.matmul(gate * main[:, main_idx] * sac[:, sac_idx], read)
+    return sample_branches(branches, u)
 
 
 def dejmps_step(
@@ -142,11 +150,14 @@ def dejmps_step(
     and the sacrificial qubits are Z-measured with imperfect projection.
     Success is coincidence (equal outcomes); post_state is the conditioned
     main pair either way. It samples through _pump_step, the kernel that
-    the timed engines run, converting to and from Pauli form at the call.
+    the timed engines run, as a batch of one, converting to and from Pauli
+    form at the call.
     """
     tables = _step_tables(noise.p_g, noise.p_m)
-    out_a, out_b, post, prob = _pump_step(tables, to_pauli(main), to_pauli(sac), rng)
-    return StepOutcome(out_a == out_b, out_a, out_b, from_pauli(post), prob)
+    out_a, out_b, post, prob = _pump_step(
+        tables, to_pauli(main).reshape(1, 16), to_pauli(sac).reshape(1, 16), [(rng.random(), rng.random())]
+    )
+    return StepOutcome(out_a[0] == out_b[0], out_a[0], out_b[0], from_pauli(post[0]), prob[0])
 
 
 def bell_recurrence_oracle(

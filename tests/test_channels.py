@@ -11,6 +11,7 @@ from purlink.channels import (
     ImpossibleOutcomeError,
     NoiseParams,
     OpticalHardware,
+    decay_transfer,
     diffraction_efficiency,
     fiber_transmissivity,
     pauli_decohere,
@@ -340,6 +341,23 @@ def test_dephasing_pz():
     assert _dephasing_pz(10.0, math.inf, math.inf) == 0.0
     with pytest.raises(ValueError):
         _dephasing_pz(1.0, 1.0, 3.0)
+
+
+def test_decay_transfer_inlines_the_scalar_rates():
+    # decay_transfer computes lam and p_z lane by lane, term for term as
+    # _damping_lambda and _dephasing_pz do, so the entries agree exactly
+    dts = [1e-9, 3.7e-6, 2e-4, 0.01, 0.3, 2.0, 40.0]
+    for noise in (NoiseParams(t1=360.0, t2=0.01), NoiseParams(t1=1.0, t2=0.8), NoiseParams(t1=math.inf, t2=1e-3),
+                  NoiseParams(t1=5.0, t2=10.0), NoiseParams(t1=math.inf, t2=math.inf)):
+        t = decay_transfer(dts, noise)
+        assert t.shape == (len(dts), 4, 4)
+        for ti, dt in zip(t, dts):
+            lam = _damping_lambda(dt, noise.t1)
+            c = math.sqrt(1.0 - lam) * (1.0 - 2.0 * _dephasing_pz(dt, noise.t1, noise.t2))
+            want = np.array([[1, 0, 0, 0], [0, c, 0, 0], [0, 0, c, 0], [lam, 0, 0, 1 - lam]])
+            assert np.array_equal(ti, want)
+    with pytest.raises(ValueError):
+        decay_transfer([0.1, -1e-9], NoiseParams())
 
 
 def test_amplitude_damp_populations():

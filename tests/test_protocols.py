@@ -131,13 +131,22 @@ def test_nop_ignores_scheme():
 
 
 class QueuedU:
-    """Stands in for an rng, returning preset uniforms in order."""
+    """Stands in for an rng, returning preset uniforms in order.
+
+    random(n) returns up to n of them, as the engine's prefetched blocks
+    accept; it raises once they run out, like random().
+    """
 
     def __init__(self, *vals):
         self._vals = list(vals)
 
-    def random(self):
-        return self._vals.pop(0)
+    def random(self, size=None):
+        if size is None:
+            return self._vals.pop(0)
+        if not self._vals:
+            raise IndexError("no uniforms left")
+        block, self._vals = self._vals[:size], self._vals[size:]
+        return np.array(block)
 
 
 def test_one_sided_loss_holds_slot_only_for_heralded_purification():

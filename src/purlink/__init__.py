@@ -22,7 +22,6 @@ from .protocols import (
 )
 from .purify import (
     PurificationCircuit,
-    bell_recurrence_oracle,
     dejmps_step,
     load_circuit,
     parse_circuit,
@@ -46,7 +45,6 @@ __all__ = [
     "TrialResult",
     "attempt_success_prob",
     "bell_diagonal_state",
-    "bell_recurrence_oracle",
     "binary_entropy",
     "ci_halfwidth",
     "dejmps_step",

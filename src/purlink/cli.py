@@ -8,10 +8,8 @@ byte-stable across runs and thread counts for a fixed seed.
 from __future__ import annotations
 
 import argparse
-import multiprocessing
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -77,6 +75,10 @@ def _estimate_grid(points: list[Config], names, mbc: bool, threads: int) -> list
     if workers <= 1:
         flat = [_run_task(t) for t in tasks]
     else:
+        # Imported here so that a serial run never loads the pool machinery.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         # Workers are spawned, not forked, so that their numpy reads the
         # thread variables at import; a forked worker keeps the parent's BLAS pool.
         unset = [v for v in _BLAS_THREAD_VARS if v not in os.environ]

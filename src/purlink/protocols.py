@@ -323,7 +323,7 @@ _ROT, _GATE, _MEASURE, _STEP, _DELIVER = range(5)
 
 @lru_cache(maxsize=32)
 def _compile(circ: PurificationCircuit) -> tuple:
-    """Flatten a circuit to (code, operands, fresh, op, keep, seed) entries, plus register sizes.
+    """Flatten a circuit to (code, operands, fresh, op, keep, seed) entries, plus its register needs.
 
     fresh lists the pairs first referenced by the entry, which are acquired
     in that order before it runs. A final _DELIVER entry acquires the
@@ -336,7 +336,12 @@ def _compile(circ: PurificationCircuit) -> tuple:
     measurement's keep_equal. A step's sacrifice is the register None, and
     seed names its main pair's register if that pair is fresh: the walk
     stores the source pair there, so all steps of a pumping circuit share
-    one op. The second result maps every register written to its size.
+    one op. The second result maps the registers a run leaves in
+    _Batch.store to their sizes: each measurement's survivor, the seed among
+    them, and any output no later op of the same run loads. A run ends at
+    each measurement or delivery, and a delivery stores nothing. Every other
+    register lives only in hand, from op to op of one run; the third result
+    is the size of the largest.
     """
     program = []
     layout: dict[int, tuple] = {}  # the register of each live pair
@@ -371,7 +376,16 @@ def _compile(circ: PurificationCircuit) -> tuple:
     loads = (((survivor,), 0, bool(fresh)),)
     program.append((_DELIVER, (), fresh, (_DELIVER, loads, (), None, None), None, None))
     sizes = {entry[3][2]: 16 ** len(entry[3][2]) for entry in program if entry[3][2]}
-    return tuple(program), sizes
+    kept, held = set(), set()  # as _Batch.run stores them
+    for code, _, _, (_, loads, out, _, _), _, _ in program:
+        held.difference_update(key for key, _, _ in loads)
+        if out:
+            held.add(out)
+        if code == _STEP or code == _MEASURE:
+            kept |= held
+            held.clear()
+    hand = max((size for key, size in sizes.items() if key not in kept), default=0)
+    return tuple(program), {key: sizes[key] for key in kept}, hand
 
 
 # Each lane prefetches its uniforms in blocks that double up to _MAX_BLOCK;
@@ -427,10 +441,10 @@ class _Batch:
     not depend on the batch.
     """
 
-    def __init__(self, kernel: _Kernel, sizes: dict, lanes: int):
+    def __init__(self, kernel: _Kernel, kept: dict, lanes: int):
         self.noise = kernel.noise
         self.werner = kernel.werner.reshape(16)
-        self.store = {key: np.empty((lanes, size)) for key, size in sizes.items()}
+        self.store = {key: np.empty((lanes, size)) for key, size in kept.items()}
         self.tables = _step_tables(self.noise.p_g, self.noise.p_m)
 
     def decohere(self, r: np.ndarray, pair: int, dts: list) -> np.ndarray:
@@ -500,7 +514,7 @@ def _lockstep(
     crosses; NOP reserves no partner slot (hold = 0.0), so the retry is the
     next tick. Raw delivery (NOP) runs the empty circuit of Pumping(0).
     """
-    program, sizes = _compile(circ)
+    program, kept, _ = _compile(circ)
     survivor = circ.survivor
     n_slots = circ.max_live
     opt = kind.name == "OPT"
@@ -713,7 +727,7 @@ def _lockstep(
     lanes = [_Lane(rng, trace, circ.num_pairs, row) for row, (rng, trace) in enumerate(zip(rngs, traces))]
     for lane in lanes:
         begin(lane, 0.0)
-    batch = _Batch(kernel, sizes, len(lanes))
+    batch = _Batch(kernel, kept, len(lanes))
     results: list = [None] * len(lanes)
     active = range(len(lanes))
     while active:
@@ -781,9 +795,16 @@ def run_trials(
 
 
 def batch_lanes(kind: ProtocolKind, scheme: Scheme) -> int:
-    """How many trials one run_trials call should hold: a fixed float budget per batch."""
+    """How many trials one run_trials call should hold: a fixed float budget per batch.
+
+    A lane holds its prefetch block, the registers kept in the store and,
+    while a run executes, at most the largest register held only in hand.
+    """
     _, circ = _circuit(kind, scheme)
-    per_lane = _MAX_BLOCK + (sum(_compile(circ)[1].values()) if circ is not None else 0)
+    per_lane = _MAX_BLOCK
+    if circ is not None:
+        _, kept, hand = _compile(circ)
+        per_lane += sum(kept.values()) + hand
     return max(1, _BATCH_ELEMENTS // per_lane)
 
 

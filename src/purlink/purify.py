@@ -1,14 +1,14 @@
 """Purification mechanics.
 
-The DEJMPS pumping step kernel that every timed engine runs, a small
-circuit DSL for externally supplied purification circuits, and the analytic
-Bell-diagonal recurrence oracle the simulator is tested against.
+The DEJMPS pumping step kernel that every timed engine runs and a small
+circuit DSL for externally supplied purification circuits.
 
 Every state is held in Pauli transfer form (see channels). The DSL's
 rotations and gates are cached signed gathers on a register
 (pauli_clifford), and the step kernel gathers through tables read off the
 same gathers composed on two pairs. The dense form of the step and of the
-DSL interpreter is the test oracle (tests/dense_oracle.py).
+DSL interpreter, and the analytic Bell-diagonal recurrence, are the test
+oracle (tests/dense_oracle.py).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Union
 import numpy as np
 
 from .channels import TWO_QUBIT_GATES, NoiseParams, readout, sample_branches
-from .states import BellCoeffs, I2, PAULI_X, TwoQubitState, from_pauli, pauli_image, to_pauli
+from .states import I2, PAULI_X, TwoQubitState, from_pauli, pauli_image, to_pauli
 
 # Bilateral twirl rotations: Alice rotates +pi/2 about X, Bob -pi/2. Which
 # side takes which sign is conventionally arbitrary; Alice gets the plus.
@@ -158,32 +158,6 @@ def dejmps_step(
         tables, to_pauli(main).reshape(1, 16), to_pauli(sac).reshape(1, 16), [(rng.random(), rng.random())]
     )
     return StepOutcome(out_a[0] == out_b[0], out_a[0], out_b[0], from_pauli(post[0]), prob[0])
-
-
-def bell_recurrence_oracle(
-    main: BellCoeffs, sac: BellCoeffs
-) -> tuple[BellCoeffs, float]:
-    """Closed-form noiseless recurrence for the coincidence branch.
-
-    With both inputs Bell-diagonal, ordered (a, b, c, d) on
-    (phi+, psi-, psi+, phi-), the kept branch has probability
-    N = (a1+b1)(a2+b2) + (c1+d1)(c2+d2) and coefficients
-    a' = (a1 a2 + b1 b2)/N   b' = (c1 d2 + d1 c2)/N
-    c' = (c1 c2 + d1 d2)/N   d' = (a1 b2 + b1 a2)/N.
-    """
-    for coeffs in (main, sac):
-        if abs(sum(coeffs) - 1.0) > 1e-9:
-            raise ValueError(f"Bell coefficients must sum to 1, got {coeffs}")
-    a1, b1, c1, d1 = main
-    a2, b2, c2, d2 = sac
-    n = (a1 + b1) * (a2 + b2) + (c1 + d1) * (c2 + d2)
-    post = BellCoeffs(
-        (a1 * a2 + b1 * b2) / n,
-        (c1 * d2 + d1 * c2) / n,
-        (c1 * c2 + d1 * d2) / n,
-        (a1 * b2 + b1 * a2) / n,
-    )
-    return post, n
 
 
 # ---------------------------------------------------------------------------

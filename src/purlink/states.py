@@ -3,7 +3,7 @@
 Density matrices are plain complex numpy arrays. A two-qubit state is 4x4
 with qubit order Alice tensor Bob. The Bell basis is fixed everywhere as
 (phi+, psi-, psi+, phi-); keeping one ordering avoids silent coefficient
-permutations between the simulator and the analytic recurrence oracle.
+permutations between the simulator and the tests' recurrence oracle.
 
 The simulator holds states in Pauli transfer form instead: a pair is the
 real 4x4 matrix R[i, j] = Tr(rho sigma_i (x) sigma_j) with sigma in the order
@@ -73,25 +73,10 @@ def fidelity(rho: TwoQubitState) -> float:
     return min(max(f, 0.0), 1.0)
 
 
-def bell_diagonal(rho: TwoQubitState) -> BellCoeffs:
-    """Diagonal of rho in the Bell basis, fixed order (phi+, psi-, psi+, phi-)."""
-    return BellCoeffs(*(float(np.real(v.conj() @ rho @ v)) for v in BELL_VECTORS))
-
-
 def pauli_expectation(rho: TwoQubitState, obs_a: str, obs_b: str) -> float:
     """Tr(rho * A tensor B) for Paulis A, B in {I, X, Y, Z}."""
     op = np.kron(PAULIS[obs_a], PAULIS[obs_b])
     return float(np.real(np.trace(rho @ op)))
-
-
-def check_state(rho: np.ndarray, tol: float = 1e-9) -> None:
-    """Assert hermiticity, unit trace, and positivity; used in tests and debug paths."""
-    if np.abs(rho - rho.conj().T).max() > tol:
-        raise ValueError("state is not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > tol:
-        raise ValueError(f"state trace is {np.trace(rho).real}, expected 1")
-    if np.linalg.eigvalsh(rho).min() < -tol:
-        raise ValueError("state has a negative eigenvalue")
 
 
 # ---------------------------------------------------------------------------

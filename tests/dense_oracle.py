@@ -13,6 +13,10 @@ the dense channels, giving the pumping step's four outcome branches as
 exactly as purify._pump_step samples from its gather tables, and
 pauli_transfer rewrites the maps in the Pauli basis, where they must equal
 the tables.
+
+check_state asserts that a density matrix is physical, bell_diagonal reads
+its Bell-basis weights, and bell_recurrence_oracle is the closed-form
+noiseless recurrence for one pumping step on Bell-diagonal pairs.
 """
 
 import math
@@ -24,10 +28,52 @@ import numpy as np
 
 from purlink.channels import CNOT, TWO_QUBIT_GATES, ImpossibleOutcomeError, _damping_lambda, _dephasing_pz
 from purlink.purify import ROT_PAIR, Gate, Rot, StepOutcome
-from purlink.states import I2, PAULI_ORDER, PAULIS, to_pauli
+from purlink.states import BELL_VECTORS, I2, PAULI_ORDER, PAULIS, BellCoeffs, to_pauli
 
 PAULI_PAIRS = [np.kron(PAULIS[a], PAULIS[b]) for a in PAULI_ORDER for b in PAULI_ORDER]
 SIGMA = np.array([PAULIS[a] for a in PAULI_ORDER])
+
+
+# --- Bell-diagonal algebra and state checks. ---
+
+
+def check_state(rho: np.ndarray, tol: float = 1e-9) -> None:
+    """Assert hermiticity, unit trace, and positivity."""
+    if np.abs(rho - rho.conj().T).max() > tol:
+        raise ValueError("state is not Hermitian")
+    if abs(np.trace(rho).real - 1.0) > tol:
+        raise ValueError(f"state trace is {np.trace(rho).real}, expected 1")
+    if np.linalg.eigvalsh(rho).min() < -tol:
+        raise ValueError("state has a negative eigenvalue")
+
+
+def bell_diagonal(rho):
+    """Diagonal of rho in the Bell basis, fixed order (phi+, psi-, psi+, phi-)."""
+    return BellCoeffs(*(float(np.real(v.conj() @ rho @ v)) for v in BELL_VECTORS))
+
+
+def bell_recurrence_oracle(main: BellCoeffs, sac: BellCoeffs) -> tuple[BellCoeffs, float]:
+    """Closed-form noiseless recurrence for the coincidence branch.
+
+    With both inputs Bell-diagonal, ordered (a, b, c, d) on
+    (phi+, psi-, psi+, phi-), the kept branch has probability
+    N = (a1+b1)(a2+b2) + (c1+d1)(c2+d2) and coefficients
+    a' = (a1 a2 + b1 b2)/N   b' = (c1 d2 + d1 c2)/N
+    c' = (c1 c2 + d1 d2)/N   d' = (a1 b2 + b1 a2)/N.
+    """
+    for coeffs in (main, sac):
+        if abs(sum(coeffs) - 1.0) > 1e-9:
+            raise ValueError(f"Bell coefficients must sum to 1, got {coeffs}")
+    a1, b1, c1, d1 = main
+    a2, b2, c2, d2 = sac
+    n = (a1 + b1) * (a2 + b2) + (c1 + d1) * (c2 + d2)
+    post = BellCoeffs(
+        (a1 * a2 + b1 * b2) / n,
+        (c1 * d2 + d1 * c2) / n,
+        (c1 * c2 + d1 * d2) / n,
+        (a1 * b2 + b1 * a2) / n,
+    )
+    return post, n
 
 
 # --- n-qubit embedding. Qubit 0 is the leftmost (most significant) factor. ---

@@ -31,10 +31,10 @@ from purlink.protocols import (
     expected_nop_time,
     run_trial,
 )
-from purlink.purify import bell_recurrence_oracle, dejmps_step
+from purlink.purify import dejmps_step
 from purlink.states import BellCoeffs, bell_diagonal_state, make_werner
 
-from dense_oracle import PairRegister, amplitude_damp, decohere, dephase, depolarize_gate
+from dense_oracle import PairRegister, amplitude_damp, bell_recurrence_oracle, decohere, dephase, depolarize_gate
 
 NOISELESS = NoiseParams(p_g=1.0, p_m=1.0, t1=math.inf, t2=math.inf)
 PAIR0 = ((0, "A"), (0, "B"))

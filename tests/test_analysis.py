@@ -16,7 +16,9 @@ from purlink.analysis import (
 from purlink.channels import NoiseParams
 from purlink.linkmodel import LinkConfig
 from purlink.protocols import BASE, NOP, Pumping, expected_nop_time, run_trial
-from purlink.states import check_state, make_werner
+from purlink.states import make_werner
+
+from dense_oracle import check_state
 
 NOISELESS = NoiseParams(p_g=1.0, p_m=1.0, t1=math.inf, t2=math.inf)
 LOSSLESS_KHZ = LinkConfig("ground", d=20.0, mu=1e3, f0=0.9, alpha_f=0.0)

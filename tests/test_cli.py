@@ -189,6 +189,22 @@ def test_python_dash_m_runs_the_cli(tmp_path, capsys):
     assert done.stdout == capsys.readouterr().out
 
 
+def test_serial_run_never_imports_the_pool(tmp_path):
+    # a fresh interpreter, since the test session may have loaded the pool
+    path = cfg_file(tmp_path, FAST + "protocols = NOP,BASE\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    script = (
+        "import sys\n"
+        "from purlink.cli import main\n"
+        f"assert main(['simulate', {path!r}, '--threads', '1']) == 0\n"
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
+
+
 def with_key(text, key, value):
     kept = [line for line in text.splitlines() if line.partition("=")[0].strip() != key]
     return "\n".join(kept + [f"{key} = {value}"]) + "\n"
@@ -461,7 +477,8 @@ class RecordingPool:
 ])
 def test_pool_size_is_bounded_by_tasks_and_cores(tmp_path, monkeypatch, cores, threads, want):
     import purlink.cli as cli
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    # the pool branch imports the executor by name when it runs
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
     monkeypatch.setattr(RecordingPool, "sizes", [])
     text = FAST + "protocols = NOP\nn_steps = 0\nsweep_param = f0\nsweep_values = 0.8, 0.85, 0.9\n"

@@ -10,6 +10,7 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from equivalence_grid import LONE_MEASURE, THREE_PAIR
 
 from purlink import protocols
 from purlink.analysis import estimate
@@ -24,20 +25,6 @@ LINKS = {
     "lossy": LinkConfig(GROUND, d=20.0, mu=1e6, f0=0.9),
     "timed": LinkConfig(GROUND, d=20.0, mu=1e6, f0=0.9, gate_time=1e-6, measure_time=5e-7),
 }
-THREE_PAIR = """PAIRS 3
-ROT 0
-ROT 1
-ROT 2
-GATE CNOT 0 1
-GATE CNOT 0 2
-MEASURE 1 BASIS Z KEEP equal
-MEASURE 2 BASIS X KEEP equal
-"""
-LONE_MEASURE = """PAIRS 2
-MEASURE 0 BASIS X KEEP equal
-"""
-
-
 def packaged(name):
     return CircuitScheme(parse_circuit((resources.files("purlink") / "circuits" / f"{name}.circuit").read_text()))
 
@@ -155,3 +142,63 @@ def test_batch_lanes_is_bounded_by_the_element_budget():
         protocols.batch_lanes(ProtocolKind("BASE"), Pumping(5))
     )
     assert protocols.batch_lanes(ProtocolKind("OPT", measure_before_confirm=True), Pumping(2)) >= 1
+
+
+class RecordingStore(dict):
+    """Stands in for _Batch.store: records the register of every write."""
+
+    def __init__(self, store, written):
+        super().__init__(store)
+        self.written = written
+
+    def __getitem__(self, key):
+        return RecordingRows(self, key)
+
+
+class RecordingRows:
+    __slots__ = ("store", "key")
+
+    def __init__(self, store, key):
+        self.store, self.key = store, key
+
+    def __getitem__(self, rows):
+        return dict.__getitem__(self.store, self.key)[rows]
+
+    def __setitem__(self, rows, value):
+        self.store.written.add(self.key)
+        assert self.key in self.store, f"register {self.key} written but not kept"
+        dict.__getitem__(self.store, self.key)[rows] = value
+
+
+@pytest.mark.parametrize("mbc", [False, True])
+@pytest.mark.parametrize("name", ["NOP", "BASE", "HOPT", "OPT"])
+def test_store_holds_only_the_registers_compile_keeps(name, mbc, monkeypatch):
+    kind = ProtocolKind(name, measure_before_confirm=mbc)
+    schemes = [Pumping(n) for n in range(6)] + [
+        packaged("dejmps"), packaged("optimized5"),
+        CircuitScheme(parse_circuit(THREE_PAIR)), CircuitScheme(parse_circuit(LONE_MEASURE)),
+    ]
+    written, stores = set(), []
+    init = protocols._Batch.__init__
+
+    def recording_init(self, kernel, kept, lanes):
+        init(self, kernel, kept, lanes)
+        self.store = RecordingStore(self.store, written)
+        stores.append(self.store)
+
+    monkeypatch.setattr(protocols._Batch, "__init__", recording_init)
+    for scheme in schemes:
+        written.clear()
+        stores.clear()
+        run_trials(kind, scheme, LINKS["timed"], NOISE, [np.random.default_rng((63, i)) for i in range(20)])
+        _, circ = protocols._circuit(kind, scheme)
+        lanes = protocols.batch_lanes(kind, scheme)
+        if circ is None:  # blind OPT keeps no registers
+            assert not stores and lanes * protocols._MAX_BLOCK <= protocols._BATCH_ELEMENTS
+            continue
+        _, kept, in_hand = protocols._compile(circ)
+        assert written <= set(kept), (name, mbc, scheme)
+        (store,) = stores
+        stored = sum(dict.__getitem__(store, key).shape[1] for key in store)
+        assert lanes * (protocols._MAX_BLOCK + stored + in_hand) <= protocols._BATCH_ELEMENTS, (name, mbc, scheme)
+    assert protocols.batch_lanes(kind, packaged("optimized5")) >= 150

@@ -16,9 +16,9 @@ from purlink.protocols import (
     run_trial,
 )
 from purlink.purify import parse_circuit
-from purlink.states import check_state, fidelity, make_werner
+from purlink.states import fidelity, make_werner
 
-from dense_oracle import run_circuit
+from dense_oracle import check_state, run_circuit
 
 INF = math.inf
 NOISELESS = NoiseParams(p_g=1.0, p_m=1.0, t1=INF, t2=INF)

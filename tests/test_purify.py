@@ -10,21 +10,25 @@ from purlink.purify import (
     MAX_LIVE_PAIRS,
     CircuitError,
     PurificationCircuit,
-    bell_recurrence_oracle,
     dejmps_step,
     load_circuit,
     parse_circuit,
 )
 from purlink.states import (
     BellCoeffs,
-    bell_diagonal,
     bell_diagonal_state,
-    check_state,
     fidelity,
     make_werner,
 )
 
-from dense_oracle import dense_pump_step, run_circuit, step_branch_maps
+from dense_oracle import (
+    bell_diagonal,
+    bell_recurrence_oracle,
+    check_state,
+    dense_pump_step,
+    run_circuit,
+    step_branch_maps,
+)
 
 NOISELESS = NoiseParams(p_g=1.0, p_m=1.0, t1=math.inf, t2=math.inf)
 HI = 1.0 - 1e-12

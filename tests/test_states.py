@@ -4,9 +4,7 @@ import pytest
 from purlink.states import (
     BELL_VECTORS,
     BellCoeffs,
-    bell_diagonal,
     bell_diagonal_state,
-    check_state,
     fidelity,
     make_werner,
     from_pauli,
@@ -15,7 +13,7 @@ from purlink.states import (
 )
 from purlink.states import PAULI_X, PAULI_Z, PHI_PLUS
 
-from dense_oracle import embed_single, embed_two, insert_mixed, trace_out
+from dense_oracle import bell_diagonal, check_state, embed_single, embed_two, insert_mixed, trace_out
 
 RNG = np.random.default_rng(20240811)
 

@@ -8,6 +8,8 @@ byte-stable across runs and thread counts for a fixed seed.
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import os
 import sys
 from dataclasses import replace
@@ -30,6 +32,14 @@ _EVENT_TRIAL_INDEX = 2**62  # far outside any reachable trial index
 # Each pool worker runs single-threaded BLAS unless the caller chose otherwise:
 # a full BLAS thread pool per worker oversubscribes the cores.
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+# Interpreter shutdown runs full collections over every object numpy and
+# purlink left alive, which costs a short command more than its cells do.
+# Freezing them at exit lets those collections skip them; the process ends
+# right after, which returns their memory. Spawned pool workers import this
+# module to unpickle _run_task, so they register it too; importing purlink
+# alone does not.
+atexit.register(gc.freeze)
 
 
 def _threads(text: str) -> int:

@@ -14,14 +14,25 @@ It prints the result count, how many timelines (completion time, pairs,
 steps, restarts) are exact, the largest state difference among those, and
 every flipped draw: a cell and seed whose timeline differs. It exits 1 if
 any timeline differs or either side raised where the other did not.
+
+    python tests/equivalence_grid.py --cli ROOT_A ROOT_B
+
+compares the CLI instead: each checkout runs, as `python -m purlink` in
+fresh interpreters, a sweep over n_steps 1, 3, 5 at 1 GHz, a simulate of
+the packaged optimized5 circuit under BASE and HOPT, and a 2x2 heatmap,
+each with --events-log and at --threads 1 and 2. It prints every output
+(exit code, stdout, stderr, CSV, events log) that differs by a byte, with
+its diff, and exits 1 if any does.
 pytest does not collect this file.
 """
 
 from __future__ import annotations
 
 import argparse
+import difflib
 import itertools
 import math
+import os
 import pickle
 import subprocess
 import sys
@@ -51,6 +62,37 @@ NOISES = (
     {"p_g": 0.99, "p_m": 0.99, "t1": 360.0, "t2": 1.0},
     {"p_g": 0.97, "p_m": 0.98, "t1": 360.0, "t2": 1e-3},
 )
+
+CLI_COMMON = """kind = ground
+f0 = 0.9
+p_g = 0.99
+p_m = 0.99
+t1_s = 360
+trials_min = 100
+max_trials = 100
+"""
+CLI_RUNS = {  # name: (command, config lines); {circuit} is the checkout's optimized5
+    "sweep": ("sweep", """d_km = 20
+mu_hz = 1e9
+t2_s = 1e-3
+sweep_param = n_steps
+sweep_values = 1, 3, 5
+"""),
+    "simulate": ("simulate", """d_km = 20
+mu_hz = 1e9
+t2_s = 0.01
+circuit = {circuit}
+protocols = BASE,HOPT
+"""),
+    "heatmap": ("heatmap", """d_km = 20
+mu_hz = 1e6
+n_steps = 1
+sweep_param = f0
+sweep_values = 0.85, 0.9
+sweep_param2 = t2_s
+sweep_values2 = 0.001, 0.01
+"""),
+}
 
 
 def cells():
@@ -122,6 +164,45 @@ def compare(a: dict, b: dict) -> int:
     return 1 if flipped else 0
 
 
+def run_cli(root: str, work: Path) -> dict:
+    """{(run, threads, output): bytes} from CLI commands of one checkout, run in work."""
+    src = Path(root, "src").resolve()
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH")))))
+    circuit = src / "purlink" / "circuits" / "optimized5.circuit"
+    out = {}
+    for run, (command, lines) in CLI_RUNS.items():
+        Path(work, f"{run}.cfg").write_text(CLI_COMMON + lines.format(circuit=circuit))
+        files = [] if command == "simulate" else [f"{run}.csv"]
+        for threads in (1, 2):
+            done = subprocess.run(
+                [sys.executable, "-m", "purlink", command, f"{run}.cfg", *files, "--seed", "1001",
+                 "--threads", str(threads), "--events-log", f"{run}.log"],
+                cwd=work, env=env, capture_output=True,
+            )
+            out[run, threads, "exit"] = b"%d\n" % done.returncode
+            out[run, threads, "stdout"] = done.stdout
+            out[run, threads, "stderr"] = done.stderr
+            for name in (*files, f"{run}.log"):
+                path = Path(work, name)
+                out[run, threads, name] = path.read_bytes() if path.exists() else b"<missing>\n"
+                path.unlink(missing_ok=True)
+    return out
+
+
+def compare_cli(a: dict, b: dict) -> int:
+    differ = [key for key in a if a[key] != b[key]]
+    print(f"cli outputs: {len(a)}")
+    print(f"byte-identical: {len(a) - len(differ)}")
+    for run, threads, name in differ:
+        print(f"differs: {run} --threads {threads} {name}")
+        sys.stdout.writelines(difflib.unified_diff(
+            a[run, threads, name].decode(errors="replace").splitlines(keepends=True),
+            b[run, threads, name].decode(errors="replace").splitlines(keepends=True),
+            "ROOT_A", "ROOT_B",
+        ))
+    return 1 if differ else 0
+
+
 def main(argv: list[str]) -> int:
     if argv and argv[0] == "--dump":  # child: ROOT SEEDS BATCH OUT
         root, seeds, batch, out = argv[1:]
@@ -132,7 +213,11 @@ def main(argv: list[str]) -> int:
     parser.add_argument("root_b")
     parser.add_argument("--seeds", type=int, default=20)
     parser.add_argument("--batch", action="store_true", help="run ROOT_B's cells through run_trials")
+    parser.add_argument("--cli", action="store_true", help="compare CLI outputs instead of run_trial results")
     args = parser.parse_args(argv)
+    if args.cli:
+        with tempfile.TemporaryDirectory() as tmp:
+            return compare_cli(*(run_cli(root, Path(tmp)) for root in (args.root_a, args.root_b)))
     grids = []
     with tempfile.TemporaryDirectory() as tmp:
         for n, (root, batch) in enumerate(((args.root_a, False), (args.root_b, args.batch))):

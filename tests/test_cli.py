@@ -176,15 +176,18 @@ def test_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_python_dash_m_runs_the_cli(tmp_path, capsys):
-    path = cfg_file(tmp_path, FAST + "protocols = NOP,BASE\n")
+def fresh_python(*args):
+    """Run a fresh interpreter that imports purlink from this checkout's src."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    done = subprocess.run(
-        [sys.executable, "-m", "purlink", "simulate", path],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    done = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
+    return done
+
+
+def test_python_dash_m_runs_the_cli(tmp_path, capsys):
+    path = cfg_file(tmp_path, FAST + "protocols = NOP,BASE\n")
+    done = fresh_python("-m", "purlink", "simulate", path)
     assert main(["simulate", path]) == 0
     assert done.stdout == capsys.readouterr().out
 
@@ -192,17 +195,26 @@ def test_python_dash_m_runs_the_cli(tmp_path, capsys):
 def test_serial_run_never_imports_the_pool(tmp_path):
     # a fresh interpreter, since the test session may have loaded the pool
     path = cfg_file(tmp_path, FAST + "protocols = NOP,BASE\n")
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     script = (
         "import sys\n"
         "from purlink.cli import main\n"
         f"assert main(['simulate', {path!r}, '--threads', '1']) == 0\n"
         "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))\n"
     )
-    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "[]"
+    assert fresh_python("-c", script).stdout.splitlines()[-1] == "[]"
+
+
+def test_cli_freezes_the_collector_at_exit(tmp_path):
+    # atexit runs last in, first out: the observer, registered before the
+    # CLI is imported, sees the interpreter after purlink's exit hook ran
+    path = cfg_file(tmp_path, FAST + "protocols = NOP,BASE\n")
+    script = (
+        "import atexit, gc\n"
+        "atexit.register(lambda: print(gc.get_freeze_count() > 0))\n"
+        "from purlink.cli import main\n"
+        f"assert main(['simulate', {path!r}, '--threads', '1']) == 0\n"
+    )
+    assert fresh_python("-c", script).stdout.splitlines()[-1] == "True"
 
 
 def with_key(text, key, value):

@@ -164,6 +164,28 @@ def test_one_sided_loss_holds_slot_only_for_heralded_purification():
     assert base.pairs_consumed == 1
 
 
+@pytest.mark.parametrize("d,herald_ticks,photon_ticks", [(20.0, 100_000, 50_000), (140.0, 700_000, 350_000)])
+def test_one_sided_loss_jump_is_constant_at_large_ticks(d, herald_ticks, photon_ticks):
+    # m one-sided losses, then a tick that keeps both photons; at 1 GHz the
+    # losses walk the tick index into the millions, where float rounding
+    # in the tick arithmetic could shift a jump by one
+    link = ground(d=d, mu=1e9)
+    m = 20
+    uniforms = (0.0, 1.0 - 1e-12) * m + (0.0, 0.0)
+    jumps = {
+        NOP: 1,  # no partner slot is held: the next tick
+        BASE: herald_ticks,  # the survivor's slot waits for the failure herald
+        HOPT: herald_ticks,
+        OPT: photon_ticks + herald_ticks,  # a first pair restarts once the loss is heralded
+    }
+    for kind, jump in jumps.items():
+        events = []
+        run_trial(kind, Pumping(0), link, NOISELESS, QueuedU(*uniforms), events=events)
+        ticks = [int(line.rpartition("tick=")[2]) for line in events if " photon_lost tick=" in line]
+        assert len(ticks) == m, kind
+        assert {b - a for a, b in zip(ticks, ticks[1:])} == {jump}, kind
+
+
 def test_nop_monte_carlo_matches_closed_form():
     # per-attempt success 1.0, 0.5, and 0.1 via the attenuation knob
     alphas = {1.0: 0.0, 0.5: 10.0 * math.log10(2.0) / 20.0, 0.1: 0.5}

@@ -220,18 +220,6 @@ def decohere_lanes(r: np.ndarray, pair: int, t: np.ndarray) -> np.ndarray:
     return y.reshape(lanes, 4, pre, post, 4).transpose(0, 2, 1, 4, 3).reshape(lanes, size)
 
 
-def pauli_decohere(r: np.ndarray, pair: int, dt: float, noise: NoiseParams) -> np.ndarray:
-    """Amplitude damping then dephasing for dt on both qubits of one pair.
-
-    The batch of one of decohere_lanes: a lone pair maps to T R T^T.
-    """
-    if dt < 0:
-        raise ValueError(f"negative duration {dt}")
-    if dt == 0.0:
-        return r
-    return decohere_lanes(r.reshape(1, -1), pair, decay_transfer((dt,), noise)).reshape(r.shape)
-
-
 # ---------------------------------------------------------------------------
 # Loss
 

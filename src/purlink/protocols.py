@@ -22,23 +22,23 @@ a pair starts alone, as the real 4x4 matrix of states.to_pauli, and a gate
 joins the registers of its two pairs. TrialResult.output_state is always a
 4x4 density matrix, converted once at delivery.
 
-Every trial except the blind OPT pipeline (_opt_blind_trial) runs in the
-lockstep engine, run_trials, which executes a purification circuit for one
-lane per generator; run_trial is its batch of one. Pumping(n) is compiled
-into a circuit of n fused steps, and raw delivery (NOP, whatever the scheme)
-is the empty circuit Pumping(0) with no partner slot to hold. Each round,
-every live lane does its scalar bookkeeping (acquisition tick by tick from
-prefetched uniforms, timing, restarts) up to its next measurement or
-delivery, and the lanes are grouped by the run of instructions they
-reached. A group's state operations run once over its lanes: registers
-decohere through channels.decohere_lanes, are rotated and gated by
-purify.clifford_lanes and measured by channels.measure_branches; pumping
-steps run purify._pump_step, and channels.sample_branches draws the
+Every trial runs in one lockstep engine, run_trials, which executes a
+purification circuit for one lane per generator; run_trial is its batch of
+one. Pumping(n) is compiled into a circuit of n fused steps, and raw
+delivery (NOP, whatever the scheme) is the empty circuit Pumping(0) with no
+partner slot to hold. Each round, every live lane does its scalar
+bookkeeping (acquisition from prefetched uniforms, timing, restarts) up to
+its next measurement or delivery, and the lanes are grouped by the run of
+instructions they reached. A group's state operations run once over its
+lanes: registers decohere through channels.decohere_lanes, are rotated and
+gated by purify.clifford_lanes and measured by channels.measure_branches;
+pumping steps run purify._pump_step, and channels.sample_branches draws the
 outcomes lane by lane. A lane draws its own uniforms in the order a lone
 trial would and does its own arithmetic, so its result is bit-identical in
-a batch of any size. Blind OPT keeps its own engine, trial by trial,
-because it samples whole fixed-stride rounds instead of source ticks. The
-engine keeps two timing rules, one per instruction form:
+a batch of any size. Acquisition reads the source tick by tick, except
+under blind OPT (OPT with measure_before_confirm on pumping), whose pairs
+land on a fixed round schedule and whose lost rounds are skipped in one
+draw. The engine keeps two timing rules, one per instruction form:
 
   DSL instructions (ROT, GATE, MEASURE) dispatch eagerly: each fires as
   soon as its operands are usable and the local timeline is free, so a
@@ -62,7 +62,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .channels import NoiseParams, decay_transfer, decohere_lanes, measure_branches, pauli_decohere, sample_branches
+from .channels import NoiseParams, decay_transfer, decohere_lanes, measure_branches, sample_branches
 from .linkmodel import LinkConfig, attempt_success_prob, link_delays, per_photon_survival
 from .purify import Gate, Measure, PurificationCircuit, Rot, _pump_step, _step_tables, clifford_lanes
 from .states import TwoQubitState, from_pauli, make_werner, to_pauli
@@ -106,15 +106,6 @@ Scheme = Union[Pumping, CircuitScheme]
 
 
 @dataclass(frozen=True)
-class Message:
-    send_time: float
-    arrival_time: float
-    kind: str  # herald_ok | herald_fail | purify_outcome | final_confirm
-    step: Optional[int] = None
-    outcome: Optional[int] = None
-
-
-@dataclass(frozen=True)
 class TrialResult:
     completion_time: float
     output_state: Optional[TwoQubitState]
@@ -147,9 +138,6 @@ class _Kernel:
         self.werner = to_pauli(make_werner(link.f0))
         self.werner.setflags(write=False)  # shared by every trial of the cell
 
-    def arrival(self, k: int) -> float:
-        return k * self.period + self.photon_delay
-
 
 @lru_cache(maxsize=8)
 def _kernel(link: LinkConfig, noise: NoiseParams) -> _Kernel:
@@ -176,16 +164,20 @@ class _Trace:
         if self.events is not None:
             self.events.append(f"{t:.12f} {node} {kind} {detail}".rstrip())
 
-    def message(self, send_time: float, node: str, msg: Message) -> None:
+    def message(
+        self, send_time: float, arrival_time: float, node: str, kind: str,
+        step: Optional[int] = None, outcome: Optional[int] = None,
+    ) -> None:
+        """Log a classical message from node to the other: herald_ok, herald_fail, purify_outcome or final_confirm."""
         if self.events is not None:
             extra = ""
-            if msg.step is not None:
-                extra = f" step={msg.step}"
-                if msg.outcome is not None:
-                    extra += f" outcome={msg.outcome:+d}"
+            if step is not None:
+                extra = f"step={step}"
+                if outcome is not None:
+                    extra += f" outcome={outcome:+d}"
             other = "B" if node == "A" else "A"
-            self.event(send_time, node, f"send_{msg.kind}", extra.strip())
-            self.event(msg.arrival_time, other, f"recv_{msg.kind}", extra.strip())
+            self.event(send_time, node, f"send_{kind}", extra)
+            self.event(arrival_time, other, f"recv_{kind}", extra)
 
     def born(self, pair: int, arrival: float) -> None:
         if self.audit is not None:
@@ -203,96 +195,6 @@ class _Trace:
     def teardown(self) -> None:
         self.episode += 1
         self._open.clear()
-
-
-# ---------------------------------------------------------------------------
-# Blind OPT: its own engine, on scalar draws.
-
-
-def _geometric_gap(rng, eta: float) -> int:
-    """Failures before the next success in a Bernoulli(eta) stream."""
-    if eta >= 1.0:
-        return 0
-    u = rng.random()
-    return int(math.log(max(u, 1e-300)) / math.log1p(-eta))
-
-
-def _opt_blind_trial(kernel: _Kernel, n_steps: int, rng, trace: _Trace) -> TrialResult:
-    """Measure-first pumping for the fully optimistic protocol.
-
-    With delivery decoupled from confirmation, classical messages only filter
-    rounds after the fact; they never steer the nodes. The shared source
-    clock assigns every tick a fixed role in advance (round r, slot s), so
-    both sides always operate on matching halves without negotiating: a
-    round's photons arrive on consecutive ticks, each purification step runs
-    the moment its slot's photon lands, and the finished pair is measured at
-    the last local operation. Any lost photon or mismatched check silently
-    dooms the round; post-processing discards it, but the next round is
-    already underway, so failures cost no waiting time.
-    """
-    link = kernel.link
-    eta = kernel.p_photon
-    noise = kernel.noise
-    tables = _step_tables(noise.p_g, noise.p_m)
-    gate_time, measure_time = link.gate_time, link.measure_time
-    op_dur = gate_time + measure_time
-    period = kernel.period
-    slots = n_steps + 1
-    # slot spacing: the next photon is accepted on the first tick after the
-    # previous slot's gate work has finished
-    stride = 1 if op_dur <= 0.0 else max(1, math.ceil(op_dur / period - _TICK_EPS))
-    span = slots * stride  # ticks consumed by one round
-    # chance that all 2*slots photons of a round survive
-    q_round = (eta * eta) ** slots
-    pairs = 0
-    rounds = 0
-    round_start = 1
-    while True:
-        skipped = _geometric_gap(rng, q_round)  # rounds lost to photon loss
-        if skipped:
-            rounds += skipped
-            round_start += skipped * span
-            if trace.live:
-                trace.event(
-                    kernel.arrival(round_start - 1), "AB", "rounds_filtered",
-                    f"count={skipped} cause=loss",
-                )
-        rounds += 1
-        pairs += slots
-        ticks = [round_start + s * stride for s in range(slots)]
-        round_start += span
-
-        a_main = kernel.arrival(ticks[0])
-        trace.born(0, a_main)
-        main = kernel.werner
-        last_touch = a_main
-        tau_end = a_main
-        matched = True
-        for step in range(1, slots):
-            a_sac = kernel.arrival(ticks[step])
-            trace.born(step, a_sac)
-            tau_end = a_sac + gate_time + measure_time
-            main = pauli_decohere(main, 0, tau_end - last_touch, noise)
-            trace.decohered(0, tau_end - last_touch)
-            sac = pauli_decohere(kernel.werner, 0, tau_end - a_sac, noise)
-            trace.decohered(step, tau_end - a_sac)
-            (out_a,), (out_b,), post, _ = _pump_step(
-                tables, main.reshape(1, 16), sac.reshape(1, 16), [(rng.random(), rng.random())])
-            post = post.reshape(4, 4)
-            if trace.live:
-                trace.event(tau_end, "AB", "purify_step", f"step={step} a={out_a:+d} b={out_b:+d}")
-            trace.closed(step, tau_end)
-            if out_a != out_b:
-                matched = False  # neither node knows yet; the round runs on
-            main = post
-            last_touch = tau_end
-        trace.closed(0, tau_end)
-        if matched:
-            trace.event(tau_end, "AB", "delivered", "pair=0")
-            return TrialResult(tau_end, from_pauli(main), pairs, n_steps, rounds - 1)
-        if trace.live:
-            trace.event(tau_end, "AB", "round_filtered", "cause=outcome")
-        trace.teardown()
 
 
 # ---------------------------------------------------------------------------
@@ -400,8 +302,8 @@ class _Lane:
 
     __slots__ = (
         "rng", "buf", "pos", "block", "trace", "pairs", "restarts", "usable", "touched", "pc",
-        "slot_free", "k_last", "last_arrival", "check_floor", "mismatch_resolve", "t_local",
-        "steps", "dts", "u", "row",
+        "slot_free", "k_last", "last_arrival", "check_floor", "mismatch_resolve", "doomed", "t_local",
+        "steps", "dts", "u", "row", "round_next",
     )
 
     def __init__(self, rng, trace: _Trace, n_pairs: int, row: int):
@@ -414,6 +316,7 @@ class _Lane:
         self.pairs = self.restarts = 0
         self.usable = [0.0] * n_pairs  # local time from which each pair may be used
         self.touched = [0.0] * n_pairs  # time each pair is decohered up to
+        self.round_next = 1  # blind OPT: the first tick of the next round
 
     def refill(self) -> array:
         """Append the next block of uniforms; a scripted stand-in may return fewer."""
@@ -421,6 +324,14 @@ class _Lane:
         self.pos = 0
         self.block = min(2 * self.block, _MAX_BLOCK)
         return self.buf
+
+    def uniform(self) -> float:
+        """The lane's next uniform: blind OPT draws one per round for its lost rounds."""
+        buf, i = self.buf, self.pos
+        while i >= len(buf):
+            buf, i = self.refill(), 0
+        self.pos = i + 1
+        return buf[i]
 
     def uniforms(self) -> tuple[float, float]:
         """The lane's next two uniforms: two per source tick, two per outcome."""
@@ -513,6 +424,15 @@ def _lockstep(
     arrival, then retries: BASE and HOPT hold it until the failure herald
     crosses; NOP reserves no partner slot (hold = 0.0), so the retry is the
     next tick. Raw delivery (NOP) runs the empty circuit of Pumping(0).
+
+    Blind OPT (measure_before_confirm on pumping) scans no source ticks:
+    the shared source clock gives every tick a fixed role, round by round,
+    so both nodes always act on matching halves without negotiating. A
+    round's pairs land every `stride` ticks (the first tick after the
+    previous step's gate work), each step fires when its sacrifice lands,
+    and the rounds lost to photon loss before the next complete one are a
+    single geometric draw. A mismatch only dooms the round: it runs to its
+    end, is filtered, and the next round starts on schedule.
     """
     program, kept, _ = _compile(circ)
     survivor = circ.survivor
@@ -520,6 +440,7 @@ def _lockstep(
     opt = kind.name == "OPT"
     base = kind.name == "BASE"
     mbc = kind.measure_before_confirm
+    blind = opt and mbc and program[0][0] == _STEP  # only Pumping compiles to steps
     herald = kernel.herald_delay
     lag = 0.0 if opt else herald  # the others use a pair once heralded
     hold = None if opt else 0.0 if kind.name == "NOP" else herald
@@ -536,6 +457,7 @@ def _lockstep(
         lane.last_arrival = lane.t_local = 0.0
         lane.check_floor = 0.0  # when every outcome so far has been checked
         lane.mismatch_resolve = math.inf
+        lane.doomed = False  # a mismatch under measure_before_confirm filters the delivery
 
     def restart(lane: _Lane, ref: float) -> None:
         lane.restarts += 1
@@ -576,7 +498,7 @@ def _lockstep(
             if trace.live:
                 loser = "B" if got_a else "A"
                 trace.event(arrival, loser, "photon_lost", f"tick={k}")
-                trace.message(arrival, loser, Message(arrival, arrival + herald, "herald_fail"))
+                trace.message(arrival, arrival + herald, loser, "herald_fail")
             if hold is not None:
                 k_hold = math.ceil((arrival + hold - photon_delay) / period - _TICK_EPS)
                 k = k_hold if k_hold > k + 1 else k + 1
@@ -588,6 +510,39 @@ def _lockstep(
             else:
                 lane.pos = i
                 return False, k, arrival
+
+    if blind:
+        op_dur = gate_time + measure_time
+        stride = 1 if op_dur <= 0.0 else max(1, math.ceil(op_dur / period - _TICK_EPS))
+        span = circ.num_pairs * stride  # ticks one round takes
+        q_round = (p_photon * p_photon) ** circ.num_pairs  # every photon of a round survives
+        log_lost = math.log1p(-q_round) if q_round < 1.0 else None
+
+        def acquire(lane: _Lane, k_min: int, floor: float, first: bool) -> tuple[bool, int, float]:
+            """Store the lane's next pair on its tick of the round; it always lands.
+
+            A round's first pair draws how many rounds photon loss dooms
+            before it (no draw on a lossless link). The step a pair joins
+            fires on its arrival, so lane.t_local moves there even when
+            float rounding ends the previous step an ulp later.
+            """
+            if first:
+                k = lane.round_next
+                if log_lost is not None:
+                    skipped = int(math.log(max(lane.uniform(), 1e-300)) / log_lost)
+                    if skipped:
+                        lane.restarts += skipped
+                        k += skipped * span
+                        if lane.trace.live:
+                            lane.trace.event(
+                                (k - 1) * period + photon_delay, "AB", "rounds_filtered",
+                                f"count={skipped} cause=loss",
+                            )
+                lane.round_next = k + span
+            else:
+                k = k_min - 1 + stride  # a stride after the previous pair's tick
+            lane.t_local = arrival = k * period + photon_delay
+            return True, k, arrival
 
     def walk(lane: _Lane) -> int:
         """Advance a lane to its next measurement or delivery; return the id of its run of ops.
@@ -618,14 +573,14 @@ def _lockstep(
                     trace.born(p, a)
                 if live:
                     trace.event(a, "AB", "pair_stored", f"pair={p}")
-                    trace.message(a, "A", Message(a, a + herald, "herald_ok"))
+                    trace.message(a, a + herald, "A", "herald_ok")
             if ref is None and code == _DELIVER:
                 # an untouched survivor is usable on arrival; every other pair
                 # arrived before the instruction that first touched it
                 t_local = max(lane.t_local, lane.last_arrival)
                 if mbc:
                     completion = t_local
-                    if lane.mismatch_resolve < math.inf:
+                    if lane.doomed:
                         # Delivered blind and filtered once the messages arrive;
                         # the round costs time but produces nothing.
                         ref = completion
@@ -634,7 +589,7 @@ def _lockstep(
                 else:
                     completion = max(t_local, lane.last_arrival + herald, lane.check_floor)
                     if live:
-                        trace.message(t_local, "A", Message(t_local, t_local + herald, "final_confirm"))
+                        trace.message(t_local, t_local + herald, "A", "final_confirm")
                 if ref is None:
                     dt = completion - lane.touched[survivor]
                     if audit:
@@ -702,13 +657,15 @@ def _lockstep(
         if trace.audit is not None:
             trace.closed(p, tau_end)
         if trace.live:
-            trace.message(tau_end, "A", Message(tau_end, check, "purify_outcome", lane.steps, out_a))
+            trace.message(tau_end, check, "A", "purify_outcome", lane.steps, out_a)
         lane.pc += 1
         if not kept:
             if not mbc:
                 restart(lane, check)
             else:
-                lane.mismatch_resolve = min(lane.mismatch_resolve, check)
+                lane.doomed = True
+                if not blind:  # the others abort once the outcome message crosses
+                    lane.mismatch_resolve = min(lane.mismatch_resolve, check)
 
     run_of: dict[tuple, int] = {}  # (first, last) entry -> id of its run of ops
     run_ids: dict[tuple, int] = {}  # run of ops -> id; equal runs share one
@@ -755,14 +712,11 @@ def _lockstep(
     return results
 
 
-def _circuit(kind: ProtocolKind, scheme: Scheme) -> tuple[ProtocolKind, Optional[PurificationCircuit]]:
-    """The kind and circuit a trial runs; no circuit for blind OPT's own engine."""
-    if isinstance(scheme, Pumping) and kind.name == "OPT" and kind.measure_before_confirm:
-        # Nothing is awaited and nothing is held back for confirmation, so
-        # rounds pipeline back to back on the shared source clock; a bare
-        # pair is just measured on arrival like raw delivery.
-        if scheme.n_steps:
-            return kind, None
+def _circuit(kind: ProtocolKind, scheme: Scheme) -> tuple[ProtocolKind, PurificationCircuit]:
+    """The kind and circuit a trial runs."""
+    if isinstance(scheme, Pumping) and not scheme.n_steps and kind.name == "OPT" and kind.measure_before_confirm:
+        # a blind round of one bare pair is just measured on arrival, like
+        # raw delivery
         kind = ProtocolKind("NOP", measure_before_confirm=True)
     if kind.name == "NOP":
         return kind, _pumping_circuit(0)  # raw delivery ignores the scheme
@@ -774,11 +728,7 @@ def _circuit(kind: ProtocolKind, scheme: Scheme) -> tuple[ProtocolKind, Optional
 
 
 def _run(kind, scheme, link, noise, rngs, traces) -> list[TrialResult]:
-    kernel = _kernel(link, noise)
-    run_kind, circ = _circuit(kind, scheme)
-    if circ is None:
-        return [_opt_blind_trial(kernel, scheme.n_steps, rng, trace) for rng, trace in zip(rngs, traces)]
-    return _lockstep(kernel, run_kind, circ, rngs, traces)
+    return _lockstep(_kernel(link, noise), *_circuit(kind, scheme), rngs, traces)
 
 
 def run_trials(
@@ -800,12 +750,8 @@ def batch_lanes(kind: ProtocolKind, scheme: Scheme) -> int:
     A lane holds its prefetch block, the registers kept in the store and,
     while a run executes, at most the largest register held only in hand.
     """
-    _, circ = _circuit(kind, scheme)
-    per_lane = _MAX_BLOCK
-    if circ is not None:
-        _, kept, hand = _compile(circ)
-        per_lane += sum(kept.values()) + hand
-    return max(1, _BATCH_ELEMENTS // per_lane)
+    _, kept, hand = _compile(_circuit(kind, scheme)[1])
+    return max(1, _BATCH_ELEMENTS // (_MAX_BLOCK + sum(kept.values()) + hand))
 
 
 def run_trial(

@@ -6,8 +6,8 @@ Each root is a checkout; its grid runs in a fresh interpreter that imports
 purlink from ROOT/src. The grid is NOP, BASE, HOPT and OPT, with
 measure_before_confirm off and on, times Pumping 0, 2 and 5, the packaged
 dejmps and optimized5 circuits, a three-pair circuit and a lone measurement,
-times three links and three noise settings, times N seeds (default 20:
-10,080 results). Trial s of a cell draws from default_rng((s, cell)).
+times four links and three noise settings, times N seeds (default 20:
+13,440 results). Trial s of a cell draws from default_rng((s, cell)).
 With --batch, ROOT_B runs each cell's seeds through one run_trials call.
 
 It prints the result count, how many timelines (completion time, pairs,
@@ -56,6 +56,8 @@ LINKS = (
     {"d": 20.0, "mu": 1e6, "f0": 0.9},  # lossy
     {"d": 20.0, "mu": 1e6, "f0": 0.9, "gate_time": 1e-6, "measure_time": 5e-7},
     {"d": 5.0, "mu": 1e9, "f0": 0.95},  # near-lossless ticks, many per herald
+    # a gate of one whole period, and heralds shorter than a blind OPT round
+    {"d": 1.0, "mu": 1e5, "f0": 0.9, "gate_time": 1e-5},
 )
 NOISES = (
     {"p_g": 1.0, "p_m": 1.0, "t1": math.inf, "t2": math.inf},

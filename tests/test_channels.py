@@ -12,9 +12,9 @@ from purlink.channels import (
     NoiseParams,
     OpticalHardware,
     decay_transfer,
+    decohere_lanes,
     diffraction_efficiency,
     fiber_transmissivity,
-    pauli_decohere,
     pauli_measure,
     satellite_transmissivity,
 )
@@ -55,6 +55,11 @@ class QueuedU:
 
     def random(self):
         return self._vals.pop(0)
+
+
+def decohere_one(r, pair, dt, noise):
+    """The memory channel for dt on pair `pair` of one register: decohere_lanes as a batch of one."""
+    return decohere_lanes(r.reshape(1, -1), pair, decay_transfer([dt], noise)).reshape(r.shape)
 
 
 def choi_matrix(channel, dim):
@@ -255,7 +260,7 @@ def test_register_channels_match_dense_oracle(n):
     for i in range(m):
         got = dense_register(pauli_clifford(r, "ROT", (i,)))
         assert np.abs(got - rotate_pair(reg, i).rho).max() < 1e-15
-        got = dense_register(pauli_decohere(r, i, 0.3, noise))
+        got = dense_register(decohere_one(r, i, 0.3, noise))
         assert np.abs(got - decohere(reg, (2 * i, 2 * i + 1), 0.3, noise).rho).max() < 1e-15
         for basis in ("X", "Y", "Z"):
             for p_m in (1.0, 0.93):
@@ -408,7 +413,7 @@ def test_decohere_werner_dephasing_oracle():
     noise = NoiseParams(t1=math.inf, t2=t2)
     p_z = 0.5 * (1.0 - math.exp(-dt / t2))
     q = 2.0 * p_z * (1.0 - p_z)
-    out = pauli_decohere(to_pauli(make_werner(f0)), 0, dt, noise)
+    out = decohere_one(to_pauli(make_werner(f0)), 0, dt, noise)
     want = (1.0 - q) * f0 + q * (1.0 - f0) / 3.0
     assert abs(fidelity(from_pauli(out)) - want) < 1e-12
 
@@ -427,7 +432,7 @@ def test_decohere_matches_dense_kraus_oracle(n_pairs, t1, t2, dt_kind):
     reg = PairRegister(random_density(1 << n, rng), labels)
     r = pauli_register(reg.rho)
     for i in range(n_pairs):  # both qubits of every pair
-        got = dense_register(pauli_decohere(r, i, dt, noise))
+        got = dense_register(decohere_one(r, i, dt, noise))
         want = decohere(reg, (2 * i, 2 * i + 1), dt, noise).rho
         assert np.abs(got - want).max() < 1e-14
 
@@ -442,23 +447,23 @@ def test_pair_decohere_matches_register_decohere(t1, t2, dt_kind):
     rng = np.random.default_rng((int(t1 < math.inf), int(t2 < math.inf)))
     for rho in (random_density(4, rng), make_werner(0.9)):
         want = to_pauli(decohere(register_from_pair(rho, 0), (0, 1), dt, noise).rho)
-        assert np.abs(pauli_decohere(to_pauli(rho), 0, dt, noise) - want).max() < 1e-15
+        assert np.abs(decohere_one(to_pauli(rho), 0, dt, noise) - want).max() < 1e-15
 
 
 def test_pair_decohere_checks():
+    # a zero duration leaves a lone pair exactly as it was; a negative one is refused
     r = to_pauli(make_werner(0.6))
-    assert pauli_decohere(r, 0, 0.0, NoiseParams()) is r
+    assert np.array_equal(decohere_one(r, 0, 0.0, NoiseParams()), r)
     with pytest.raises(ValueError):
-        pauli_decohere(r, 0, -1.0, NoiseParams())
+        decohere_one(r, 0, -1.0, NoiseParams())
 
 
 def test_decohere_identity_at_zero():
     w = to_pauli(make_werner(0.6))
     reg = np.multiply.outer(w, w)
-    out = pauli_decohere(reg, 1, 0.0, NoiseParams())
-    assert out is reg
+    assert np.array_equal(decohere_one(reg, 1, 0.0, NoiseParams()), reg)
     with pytest.raises(ValueError):
-        pauli_decohere(reg, 1, -1.0, NoiseParams())
+        decohere_one(reg, 1, -1.0, NoiseParams())
 
 
 # --- photon loss ---

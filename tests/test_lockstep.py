@@ -193,9 +193,6 @@ def test_store_holds_only_the_registers_compile_keeps(name, mbc, monkeypatch):
         run_trials(kind, scheme, LINKS["timed"], NOISE, [np.random.default_rng((63, i)) for i in range(20)])
         _, circ = protocols._circuit(kind, scheme)
         lanes = protocols.batch_lanes(kind, scheme)
-        if circ is None:  # blind OPT keeps no registers
-            assert not stores and lanes * protocols._MAX_BLOCK <= protocols._BATCH_ELEMENTS
-            continue
         _, kept, in_hand = protocols._compile(circ)
         assert written <= set(kept), (name, mbc, scheme)
         (store,) = stores

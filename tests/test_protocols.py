@@ -422,6 +422,43 @@ def test_blind_opt_gate_time_stride():
     assert r.restarts == 0
 
 
+@pytest.mark.parametrize("gate_time,measure_time,stride", [(1e-5, 0.0, 1), (5e-6, 5e-6, 1), (1.5e-5, 5e-6, 2)])
+def test_blind_opt_step_fires_at_sacrifice_arrival(gate_time, measure_time, stride):
+    # gate work of a whole number of periods ends on the tick the next
+    # sacrifice lands, and float rounding can put that end an ulp past the
+    # arrival; the step still fires at the arrival, so delivery is exactly
+    # the last arrival plus one step's work, at every tick lost rounds reach
+    link = ground(d=1.0, mu=1e5, f0=1.0, alpha_f=1.2, gate_time=gate_time, measure_time=measure_time)
+    period, photon_delay, _ = link_delays(link)
+    for i in range(100):
+        r = run_trial(OPT_MBC, Pumping(5), link, NOISELESS, np.random.default_rng((19, i)))
+        assert r.pairs_consumed == 6  # perfect pairs never mismatch: every restart is a lost round
+        tick = 1 + r.restarts * 6 * stride + 5 * stride
+        assert r.completion_time == (tick * period + photon_delay) + gate_time + measure_time, (i, tick)
+
+
+def test_blind_opt_mismatched_round_runs_to_its_end():
+    # 1 km at 100 kHz: the herald (5 us) is shorter than a round (four 10 us
+    # ticks), so an outcome message crosses mid-round; blind OPT never acts
+    # on it. A round's first pair draws its lost rounds, then each step two
+    # outcomes: had the mismatch aborted the round at step 3, the next
+    # round would read step 3's uniforms as its loss draw (0.0: hundreds of
+    # lost rounds)
+    link = ground(d=1.0, mu=1e5, gate_time=1e-5)
+    period, photon_delay, herald = link_delays(link)
+    assert herald < 4 * period
+    keep, flip, none_lost = (0.0, 0.0), (0.0, 1.0 - 1e-12), 1.0 - 1e-12
+    uniforms = (none_lost, *flip, *keep, *keep, none_lost, *keep, *keep, *keep)
+    events = []
+    r = run_trial(OPT_MBC, Pumping(3), link, NOISELESS, QueuedU(*uniforms), events=events)
+    assert (r.restarts, r.pairs_consumed, r.steps_completed) == (1, 8, 3)
+    assert r.completion_time == (8 * period + photon_delay) + 1e-5
+    steps = [line.split()[3:] for line in events if " purify_step " in line]
+    assert steps == [["step=1", "a=+1", "b=-1"], ["step=2", "a=+1", "b=+1"], ["step=3", "a=+1", "b=+1"],
+                     ["step=1", "a=+1", "b=+1"], ["step=2", "a=+1", "b=+1"], ["step=3", "a=+1", "b=+1"]]
+    assert sum(" filtered" in line for line in events) == 1
+
+
 def test_blind_zero_steps_is_raw_delivery():
     link = ground(mu=1e3, alpha_f=0.0)
     a = run_trial(OPT_MBC, Pumping(0), link, NOISELESS, np.random.default_rng(2))

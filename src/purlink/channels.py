@@ -51,7 +51,7 @@ class NoiseParams:
 
 
 # ---------------------------------------------------------------------------
-# Two-qubit gates, applied bilaterally by purify.pauli_clifford
+# Two-qubit gates, applied bilaterally by purify.clifford_lanes
 
 CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
@@ -133,21 +133,6 @@ def measure_branches(r: np.ndarray, pair: int, basis: str, p_m: float) -> np.nda
     lanes = r.shape[0]
     sel = r.reshape(lanes, 16**pair, 4, 4, -1)[:, :, keep][:, :, :, keep]
     return np.matmul(sel.transpose(0, 1, 4, 2, 3).reshape(lanes, -1, 4), readout(p_m))
-
-
-def pauli_measure(
-    r: np.ndarray, pair: int, basis: str, p_m: float, rng
-) -> tuple[int, int, np.ndarray, float]:
-    """Measure both qubits of the pair at position `pair` in a Pauli basis and drop them.
-
-    Each qubit declares outcome o with the imperfect projection
-    p_m P_o + (1-p_m) P_!o. Returns (out_a, out_b, rest, prob): rest is the
-    renormalized register of the other pairs, prob the probability of the
-    drawn branch. The batch of one of measure_branches and sample_branches.
-    """
-    branches = measure_branches(r.reshape(1, -1), pair, basis, p_m)
-    out_a, out_b, post, prob = sample_branches(branches, [(rng.random(), rng.random())])
-    return out_a[0], out_b[0], post[0].reshape(r.shape[2:]), prob[0]
 
 
 # ---------------------------------------------------------------------------

@@ -251,9 +251,6 @@ def main(argv=None) -> int:
     except (ConfigError, CircuitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return 3
     except Exception as exc:  # noqa: BLE001 - last-resort mapping to exit code
         print(f"runtime error: {exc}", file=sys.stderr)
         return 3

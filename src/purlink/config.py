@@ -16,7 +16,7 @@ from typing import Optional, Union
 from .analysis import SKF_MODES
 from .channels import NoiseParams, OpticalHardware
 from .linkmodel import GROUND, LinkConfig, per_photon_survival
-from .protocols import PROTOCOL_NAMES, CircuitScheme, Pumping, Scheme
+from .protocols import PROTOCOL_NAMES, CircuitScheme, ProtocolKind, Pumping, Scheme, plan
 from .purify import load_circuit
 
 SWEEPABLE = ("f0", "t2_s", "mu_hz", "d_km", "n_steps")
@@ -257,21 +257,20 @@ def check_delivery_bound(cfg: Config, protocols: tuple[str, ...], mbc: bool) -> 
 
     With per-photon survival p, storing one pair takes 1/p^2 source ticks on
     average, so a delivery from N pairs takes at least N/p^2 (raw delivery
-    takes one pair). OPT on the timed engine restarts its episode on every
-    one-sided loss; a tick on which any photon arrives brings both with
-    probability p/(2-p), so it also needs at least ((2-p)/p)^N ticks. Blind
-    OPT (measure_before_confirm with pumping) skips lost rounds in one draw
-    and takes only the first bound.
+    takes one pair). OPT restarts its episode on every one-sided loss; a
+    tick on which any photon arrives brings both with probability p/(2-p),
+    so it also needs at least ((2-p)/p)^N ticks, unless it acquires blind
+    and skips lost rounds in one draw. N and blindness are what
+    protocols.plan runs.
     """
     p = per_photon_survival(cfg.link)
-    scheme = cfg.scheme
-    n_pairs = scheme.n_steps + 1 if isinstance(scheme, Pumping) else scheme.circuit.num_pairs
     log_p = math.log10(p) if p > 0.0 else -math.inf
     log_ticks = -math.inf
     for name in protocols:
-        n = 1 if name == "NOP" else n_pairs
+        kind, circ, blind = plan(ProtocolKind(name, mbc), cfg.scheme)
+        n = circ.num_pairs
         log_ticks = max(log_ticks, math.log10(n) - 2.0 * log_p)
-        if name == "OPT" and not (mbc and isinstance(scheme, Pumping)):
+        if kind.name == "OPT" and not blind:
             log_ticks = max(log_ticks, n * (math.log10(2.0 - p) - log_p))
     if log_ticks > math.log10(MAX_DELIVERY_TICKS):
         if cfg.link.kind == GROUND:

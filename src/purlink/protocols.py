@@ -24,21 +24,25 @@ joins the registers of its two pairs. TrialResult.output_state is always a
 
 Every trial runs in one lockstep engine, run_trials, which executes a
 purification circuit for one lane per generator; run_trial is its batch of
-one. Pumping(n) is compiled into a circuit of n fused steps, and raw
-delivery (NOP, whatever the scheme) is the empty circuit Pumping(0) with no
-partner slot to hold. Each round, every live lane does its scalar
-bookkeeping (acquisition from prefetched uniforms, timing, restarts) up to
-its next measurement or delivery, and the lanes are grouped by the run of
-instructions they reached. A group's state operations run once over its
-lanes: registers decohere through channels.decohere_lanes, are rotated and
-gated by purify.clifford_lanes and measured by channels.measure_branches;
-pumping steps run purify._pump_step, and channels.sample_branches draws the
+one. plan alone decides what a protocol and scheme run: Pumping(n) is a
+circuit of n fused steps, raw delivery (NOP, whatever the scheme) is the
+empty circuit Pumping(0) with no partner slot to hold, and blind OPT (OPT
+with measure_before_confirm on pumping) acquires on a round schedule.
+_compile flattens the circuit once and numbers its runs: a run goes from
+entry 0, or the entry after a step or measurement, to the next step,
+measurement or delivery, and equal runs share an id. Each round, every live
+lane does its scalar bookkeeping (acquisition from prefetched uniforms,
+timing, restarts) through its run, and the lanes are grouped by run id. A
+group's state operations run once over its lanes: registers decohere
+through channels.decohere_lanes, are rotated and gated by
+purify.clifford_lanes and measured by channels.measure_branches; pumping
+steps run purify._pump_step, and channels.sample_branches draws the
 outcomes lane by lane. A lane draws its own uniforms in the order a lone
 trial would and does its own arithmetic, so its result is bit-identical in
 a batch of any size. Acquisition reads the source tick by tick, except
-under blind OPT (OPT with measure_before_confirm on pumping), whose pairs
-land on a fixed round schedule and whose lost rounds are skipped in one
-draw. The engine keeps two timing rules, one per instruction form:
+under blind OPT, whose pairs land on a fixed round schedule and whose lost
+rounds are skipped in one draw. The engine keeps two timing rules, one per
+instruction form:
 
   DSL instructions (ROT, GATE, MEASURE) dispatch eagerly: each fires as
   soon as its operands are usable and the local timeline is free, so a
@@ -123,27 +127,6 @@ def expected_nop_time(link: LinkConfig) -> float:
     return period / p + photon_delay + herald_delay
 
 
-class _Kernel:
-    """Per-configuration machinery shared by all trials of one cell.
-
-    It keeps no memory-channel state. werner is the source pair in Pauli
-    form, diag(1, w, -w, w) with w = (4 f0 - 1) / 3.
-    """
-
-    def __init__(self, link: LinkConfig, noise: NoiseParams):
-        self.link = link
-        self.noise = noise
-        self.period, self.photon_delay, self.herald_delay = link_delays(link)
-        self.p_photon = per_photon_survival(link)
-        self.werner = to_pauli(make_werner(link.f0))
-        self.werner.setflags(write=False)  # shared by every trial of the cell
-
-
-@lru_cache(maxsize=8)
-def _kernel(link: LinkConfig, noise: NoiseParams) -> _Kernel:
-    return _Kernel(link, noise)
-
-
 # ---------------------------------------------------------------------------
 # Event/audit plumbing. Events are text lines "time node kind detail";
 # audit maps (episode, pair) -> [arrival, decohered_total, end] and is only
@@ -225,25 +208,30 @@ _ROT, _GATE, _MEASURE, _STEP, _DELIVER = range(5)
 
 @lru_cache(maxsize=32)
 def _compile(circ: PurificationCircuit) -> tuple:
-    """Flatten a circuit to (code, operands, fresh, op, keep, seed) entries, plus its register needs.
+    """Flatten a circuit to entries, and number its runs: (program, runs, run_ops, kept, hand).
 
-    fresh lists the pairs first referenced by the entry, which are acquired
-    in that order before it runs. A final _DELIVER entry acquires the
-    survivor if no instruction touched it. op = (code, loads, out, arg,
-    positions) is the entry's state operation; lanes whose runs of ops are
-    equal run together. It names each register by its pairs in axis order,
-    which the program fixes at every entry, since joins and measurements
-    never depend on outcomes. loads holds (register, position, fresh) per operand, fresh
-    meaning still the source pair; out is the register written. keep is a
-    measurement's keep_equal. A step's sacrifice is the register None, and
-    seed names its main pair's register if that pair is fresh: the walk
-    stores the source pair there, so all steps of a pumping circuit share
-    one op. The second result maps the registers a run leaves in
-    _Batch.store to their sizes: each measurement's survivor, the seed among
-    them, and any output no later op of the same run loads. A run ends at
-    each measurement or delivery, and a delivery stores nothing. Every other
-    register lives only in hand, from op to op of one run; the third result
-    is the size of the largest.
+    An entry is (code, operands, fresh, op, keep, seed). fresh lists the
+    pairs first referenced by the entry, which are acquired in that order
+    before it runs. A final _DELIVER entry acquires the survivor if no
+    instruction touched it. op = (code, loads, out, arg, positions) is the
+    entry's state operation. It names each register by its pairs in axis
+    order, which the program fixes at every entry, since joins and
+    measurements never depend on outcomes. loads holds (register, position,
+    fresh) per operand, fresh meaning still the source pair; out is the
+    register written. keep is a measurement's keep_equal. A step's sacrifice
+    is the register None, and seed names its main pair's register if that
+    pair is fresh: the walk stores the source pair there, so all steps of a
+    pumping circuit share one op.
+
+    A run is what a lane walks in one round: from entry 0, or the entry
+    after a step or measurement, through the next one or the delivery.
+    runs maps each start to its run's id, and run_ops[id] is that run of
+    ops; equal runs share an id, so every step of Pumping(n) is one group.
+    kept maps the registers a run leaves in _Batch.store to their sizes:
+    each measurement's survivor, the seed among them, and any output no
+    later op of the same run loads; a delivery stores nothing. Every other
+    register lives only in hand, from op to op of one run, and hand is the
+    size of the largest.
     """
     program = []
     layout: dict[int, tuple] = {}  # the register of each live pair
@@ -279,20 +267,24 @@ def _compile(circ: PurificationCircuit) -> tuple:
     program.append((_DELIVER, (), fresh, (_DELIVER, loads, (), None, None), None, None))
     sizes = {entry[3][2]: 16 ** len(entry[3][2]) for entry in program if entry[3][2]}
     kept, held = set(), set()  # as _Batch.run stores them
-    for code, _, _, (_, loads, out, _, _), _, _ in program:
+    runs, ids, start = {}, {}, 0  # ids: run of ops -> its id
+    for end, (code, _, _, (_, loads, out, _, _), _, _) in enumerate(program):
         held.difference_update(key for key, _, _ in loads)
         if out:
             held.add(out)
         if code == _STEP or code == _MEASURE:
             kept |= held
             held.clear()
+        elif code != _DELIVER:
+            continue
+        runs[start] = ids.setdefault(tuple(entry[3] for entry in program[start:end + 1]), len(ids))
+        start = end + 1
     hand = max((size for key, size in sizes.items() if key not in kept), default=0)
-    return tuple(program), {key: sizes[key] for key in kept}, hand
+    return tuple(program), runs, tuple(ids), {key: sizes[key] for key in kept}, hand
 
 
-# Each lane prefetches its uniforms in blocks that double up to _MAX_BLOCK;
-# rng.random(n) yields the same numbers as n scalar draws.
-_FIRST_BLOCK = 32
+# Each lane prefetches its uniforms _MAX_BLOCK at a time; rng.random(n)
+# yields the same numbers as n scalar draws.
 _MAX_BLOCK = 128
 _BATCH_ELEMENTS = 1 << 16  # floats one batch of lanes may hold (see batch_lanes)
 
@@ -301,7 +293,7 @@ class _Lane:
     """One trial of a batch: its uniforms, its totals and its episode's clocks."""
 
     __slots__ = (
-        "rng", "buf", "pos", "block", "trace", "pairs", "restarts", "usable", "touched", "pc",
+        "rng", "buf", "pos", "trace", "pairs", "restarts", "usable", "touched", "pc",
         "slot_free", "k_last", "last_arrival", "check_floor", "mismatch_resolve", "doomed", "t_local",
         "steps", "dts", "u", "row", "round_next",
     )
@@ -311,7 +303,6 @@ class _Lane:
         self.row = row  # in the batch's register store
         self.buf = array("d")
         self.pos = 0
-        self.block = _FIRST_BLOCK
         self.trace = trace
         self.pairs = self.restarts = 0
         self.usable = [0.0] * n_pairs  # local time from which each pair may be used
@@ -320,9 +311,8 @@ class _Lane:
 
     def refill(self) -> array:
         """Append the next block of uniforms; a scripted stand-in may return fewer."""
-        self.buf = self.buf[self.pos:] + array("d", self.rng.random(self.block).tobytes())
+        self.buf = self.buf[self.pos:] + array("d", self.rng.random(_MAX_BLOCK).tobytes())
         self.pos = 0
-        self.block = min(2 * self.block, _MAX_BLOCK)
         return self.buf
 
     def uniform(self) -> float:
@@ -352,9 +342,9 @@ class _Batch:
     not depend on the batch.
     """
 
-    def __init__(self, kernel: _Kernel, kept: dict, lanes: int):
-        self.noise = kernel.noise
-        self.werner = kernel.werner.reshape(16)
+    def __init__(self, noise: NoiseParams, werner: np.ndarray, kept: dict, lanes: int):
+        self.noise = noise
+        self.werner = werner
         self.store = {key: np.empty((lanes, size)) for key, size in kept.items()}
         self.tables = _step_tables(self.noise.p_g, self.noise.p_m)
 
@@ -402,7 +392,7 @@ class _Batch:
 
 
 def _lockstep(
-    kernel: _Kernel, kind: ProtocolKind, circ: PurificationCircuit, rngs, traces
+    kind: ProtocolKind, scheme: Scheme, link: LinkConfig, noise: NoiseParams, rngs, traces
 ) -> list[TrialResult]:
     """Run one lane per generator from empty memories until each delivers.
 
@@ -423,7 +413,8 @@ def _lockstep(
     loss keeps the survivor's slot for `hold` seconds after the lost tick's
     arrival, then retries: BASE and HOPT hold it until the failure herald
     crosses; NOP reserves no partner slot (hold = 0.0), so the retry is the
-    next tick. Raw delivery (NOP) runs the empty circuit of Pumping(0).
+    next tick. plan picks the kind, the circuit and whether the lanes
+    acquire blind.
 
     Blind OPT (measure_before_confirm on pumping) scans no source ticks:
     the shared source clock gives every tick a fixed role, round by round,
@@ -434,19 +425,19 @@ def _lockstep(
     single geometric draw. A mismatch only dooms the round: it runs to its
     end, is filtered, and the next round starts on schedule.
     """
-    program, kept, _ = _compile(circ)
+    kind, circ, blind = plan(kind, scheme)
+    program, runs, run_ops, kept, _ = _compile(circ)
     survivor = circ.survivor
     n_slots = circ.max_live
     opt = kind.name == "OPT"
     base = kind.name == "BASE"
     mbc = kind.measure_before_confirm
-    blind = opt and mbc and program[0][0] == _STEP  # only Pumping compiles to steps
-    herald = kernel.herald_delay
+    period, photon_delay, herald = link_delays(link)
+    p_photon = per_photon_survival(link)
+    werner = to_pauli(make_werner(link.f0)).reshape(16)  # the source pair, flat
     lag = 0.0 if opt else herald  # the others use a pair once heralded
     hold = None if opt else 0.0 if kind.name == "NOP" else herald
-    gate_time = kernel.link.gate_time
-    measure_time = kernel.link.measure_time
-    period, photon_delay, p_photon = kernel.period, kernel.photon_delay, kernel.p_photon
+    gate_time, measure_time = link.gate_time, link.measure_time
 
     def begin(lane: _Lane, ref: float) -> None:
         """Empty the lane's memories at ref; usable and touched are written before use."""
@@ -599,7 +590,7 @@ def _lockstep(
                         trace.event(completion, "AB", "delivered", f"pair={survivor}")
                     lane.t_local = completion
                     lane.dts.append((dt,))
-                    return run_id(start, lane.pc)
+                    return runs[start]
             elif ref is None:
                 tau = lane.t_local
                 usable = lane.usable
@@ -632,9 +623,9 @@ def _lockstep(
             lane.t_local = tau_end
             if code == _STEP or code == _MEASURE:
                 if seed:
-                    batch.store[seed][lane.row] = batch.werner
+                    batch.store[seed][lane.row] = werner
                 lane.u = lane.uniforms()
-                return run_id(start, lane.pc)
+                return runs[start]
             lane.pc += 1
 
     def settle(lane: _Lane, out_a: int, out_b: int) -> None:
@@ -667,24 +658,10 @@ def _lockstep(
                 if not blind:  # the others abort once the outcome message crosses
                     lane.mismatch_resolve = min(lane.mismatch_resolve, check)
 
-    run_of: dict[tuple, int] = {}  # (first, last) entry -> id of its run of ops
-    run_ids: dict[tuple, int] = {}  # run of ops -> id; equal runs share one
-    run_ops: list[tuple] = []
-
-    def run_id(first: int, last: int) -> int:
-        ident = run_of.get((first, last))
-        if ident is None:
-            ops = tuple(entry[3] for entry in program[first:last + 1])
-            if ops not in run_ids:
-                run_ids[ops] = len(run_ops)
-                run_ops.append(ops)
-            ident = run_of[first, last] = run_ids[ops]
-        return ident
-
     lanes = [_Lane(rng, trace, circ.num_pairs, row) for row, (rng, trace) in enumerate(zip(rngs, traces))]
     for lane in lanes:
         begin(lane, 0.0)
-    batch = _Batch(kernel, kept, len(lanes))
+    batch = _Batch(noise, werner, kept, len(lanes))
     results: list = [None] * len(lanes)
     active = range(len(lanes))
     while active:
@@ -712,23 +689,22 @@ def _lockstep(
     return results
 
 
-def _circuit(kind: ProtocolKind, scheme: Scheme) -> tuple[ProtocolKind, PurificationCircuit]:
-    """The kind and circuit a trial runs."""
+def plan(kind: ProtocolKind, scheme: Scheme) -> tuple[ProtocolKind, PurificationCircuit, bool]:
+    """The kind a trial runs as, the circuit it runs and whether it acquires blind.
+
+    Raw delivery (NOP) runs the empty circuit of Pumping(0) whatever the
+    scheme. Blind OPT is OPT with measure_before_confirm on pumping; its
+    round of one bare pair is just measured on arrival, like raw delivery.
+    """
     if isinstance(scheme, Pumping) and not scheme.n_steps and kind.name == "OPT" and kind.measure_before_confirm:
-        # a blind round of one bare pair is just measured on arrival, like
-        # raw delivery
         kind = ProtocolKind("NOP", measure_before_confirm=True)
     if kind.name == "NOP":
-        return kind, _pumping_circuit(0)  # raw delivery ignores the scheme
+        return kind, _pumping_circuit(0), False
     if isinstance(scheme, Pumping):
-        return kind, _pumping_circuit(scheme.n_steps)
+        return kind, _pumping_circuit(scheme.n_steps), kind.name == "OPT" and kind.measure_before_confirm
     if isinstance(scheme, CircuitScheme):
-        return kind, scheme.circuit
+        return kind, scheme.circuit, False
     raise ValueError(f"unknown scheme {scheme!r}")
-
-
-def _run(kind, scheme, link, noise, rngs, traces) -> list[TrialResult]:
-    return _lockstep(_kernel(link, noise), *_circuit(kind, scheme), rngs, traces)
 
 
 def run_trials(
@@ -741,7 +717,7 @@ def run_trials(
     generator may be advanced past its trial's last draw.
     """
     quiet = _Trace(None, None)  # holds nothing, so every lane can share it
-    return _run(kind, scheme, link, noise, rngs, [quiet] * len(rngs))
+    return _lockstep(kind, scheme, link, noise, rngs, [quiet] * len(rngs))
 
 
 def batch_lanes(kind: ProtocolKind, scheme: Scheme) -> int:
@@ -750,7 +726,7 @@ def batch_lanes(kind: ProtocolKind, scheme: Scheme) -> int:
     A lane holds its prefetch block, the registers kept in the store and,
     while a run executes, at most the largest register held only in hand.
     """
-    _, kept, hand = _compile(_circuit(kind, scheme)[1])
+    _, _, _, kept, hand = _compile(plan(kind, scheme)[1])
     return max(1, _BATCH_ELEMENTS // (_MAX_BLOCK + sum(kept.values()) + hand))
 
 
@@ -765,5 +741,5 @@ def run_trial(
     audit: Optional[dict] = None,
 ) -> TrialResult:
     """Simulate one delivery from empty memories to one accepted pair: a batch of one."""
-    (result,) = _run(kind, scheme, link, noise, [rng], [_Trace(events, audit)])
+    (result,) = _lockstep(kind, scheme, link, noise, [rng], [_Trace(events, audit)])
     return result

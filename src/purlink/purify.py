@@ -4,8 +4,8 @@ The DEJMPS pumping step kernel that every timed engine runs and a small
 circuit DSL for externally supplied purification circuits.
 
 Every state is held in Pauli transfer form (see channels). The DSL's
-rotations and gates are cached signed gathers on a register
-(pauli_clifford), and the step kernel gathers through tables read off the
+rotations and gates are cached signed gathers on a stack of registers
+(clifford_lanes), and the step kernel gathers through tables read off the
 same gathers composed on two pairs. The dense form of the step and of the
 DSL interpreter, and the analytic Bell-diagonal recurrence, are the test
 oracle (tests/dense_oracle.py).
@@ -90,17 +90,13 @@ def _gather(ops: tuple, m: int, p_g: float) -> tuple[np.ndarray, np.ndarray]:
     return src, fac
 
 
-def pauli_clifford(r: np.ndarray, op: str, pairs: tuple[int, ...], p_g: float = 1.0) -> np.ndarray:
-    """ROT on pairs[0], or the bilateral gate op from pairs[0] onto pairs[1].
-
-    pairs are register positions. The rotation is noiseless; each gate
-    depolarizes with success probability p_g.
-    """
-    return clifford_lanes(r.reshape(1, -1), op, pairs, p_g).reshape(r.shape)
-
-
 def clifford_lanes(r: np.ndarray, op: str, pairs: tuple[int, ...], p_g: float = 1.0) -> np.ndarray:
-    """pauli_clifford on every row of r, one flat register per lane."""
+    """ROT on pairs[0], or the bilateral gate op from pairs[0] onto pairs[1], on every row of r.
+
+    r holds one flat register per lane, and pairs are register positions.
+    The rotation is noiseless; each gate depolarizes with success
+    probability p_g.
+    """
     pairs_held = (r.shape[1].bit_length() - 1) // 4  # a row holds 16**pairs_held strings
     src, fac = _gather(((op, pairs),), pairs_held, p_g)
     return r[:, src] * fac

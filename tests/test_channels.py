@@ -15,11 +15,12 @@ from purlink.channels import (
     decohere_lanes,
     diffraction_efficiency,
     fiber_transmissivity,
-    pauli_measure,
+    measure_branches,
+    sample_branches,
     satellite_transmissivity,
 )
 from purlink.channels import _damping_lambda, _dephasing_pz
-from purlink.purify import ROT_PAIR, _step_tables, pauli_clifford
+from purlink.purify import ROT_PAIR, _step_tables, clifford_lanes
 from purlink.states import fidelity, from_pauli, make_werner, to_pauli
 
 from dense_oracle import (
@@ -60,6 +61,22 @@ class QueuedU:
 def decohere_one(r, pair, dt, noise):
     """The memory channel for dt on pair `pair` of one register: decohere_lanes as a batch of one."""
     return decohere_lanes(r.reshape(1, -1), pair, decay_transfer([dt], noise)).reshape(r.shape)
+
+
+def clifford_one(r, op, pairs, p_g=1.0):
+    """ROT or a bilateral gate on one register: clifford_lanes as a batch of one."""
+    return clifford_lanes(r.reshape(1, -1), op, pairs, p_g).reshape(r.shape)
+
+
+def measure_one(r, pair, basis, p_m, rng):
+    """(out_a, out_b, rest, prob) of measuring one register's pair, Alice's uniform first.
+
+    measure_branches then sample_branches as a batch of one; rest is the
+    renormalized register of the other pairs.
+    """
+    branches = measure_branches(r.reshape(1, -1), pair, basis, p_m)
+    out_a, out_b, post, prob = sample_branches(branches, [(rng.random(), rng.random())])
+    return out_a[0], out_b[0], post[0].reshape(r.shape[2:]), prob[0]
 
 
 def choi_matrix(channel, dim):
@@ -181,14 +198,14 @@ def test_depolarize_gate_bad_qubits():
 
 # --- measurement ---
 #
-# pauli_measure measures both qubits of a pair of a Pauli register, Alice's
+# measure_one measures both qubits of a pair of a Pauli register, Alice's
 # uniform first; the dense oracle checks it below.
 
 
 def test_noisy_measure_branch_probs_sum_to_one():
     for _ in range(20):
         r = to_pauli(random_density(4, RNG))
-        probs = [pauli_measure(r, 0, "Z", 0.9, QueuedU(*u))[3] for u in BRANCH_UNIFORMS]
+        probs = [measure_one(r, 0, "Z", 0.9, QueuedU(*u))[3] for u in BRANCH_UNIFORMS]
         assert abs(sum(probs) - 1.0) < 1e-10
 
 
@@ -196,7 +213,7 @@ def test_noisy_measure_projective():
     zero = np.zeros((4, 4), dtype=complex)
     zero[0, 0] = 1.0  # |00>
     r = np.multiply.outer(to_pauli(zero), to_pauli(zero))  # |00> on both pairs
-    out_a, out_b, post, prob = pauli_measure(r, 0, "Z", 1.0, QueuedU(0.0, 0.0))
+    out_a, out_b, post, prob = measure_one(r, 0, "Z", 1.0, QueuedU(0.0, 0.0))
     assert (out_a, out_b) == (1, 1) and abs(prob - 1.0) < 1e-12
     assert post.shape == (4, 4)  # one pair left
     assert np.allclose(from_pauli(post), zero)
@@ -206,7 +223,7 @@ def test_noisy_measure_flip_probability():
     zero = np.zeros((4, 4), dtype=complex)
     zero[0, 0] = 1.0
     # p_m=0.9 reports the wrong face with probability 0.1 on each side
-    out_a, out_b, _, prob = pauli_measure(to_pauli(zero), 0, "Z", 0.9, QueuedU(0.95, 0.0))
+    out_a, out_b, _, prob = measure_one(to_pauli(zero), 0, "Z", 0.9, QueuedU(0.95, 0.0))
     assert (out_a, out_b) == (-1, 1)
     assert abs(prob - 0.1 * 0.9) < 1e-12
 
@@ -216,22 +233,22 @@ def test_noisy_measure_impossible_branch():
     # fully underflowed state can trip the guard
     zero = np.zeros((4, 4), dtype=complex)
     zero[0, 0] = 1.0
-    out_a, out_b, _, prob = pauli_measure(to_pauli(zero), 0, "Z", 1.0, QueuedU(HI, HI))
+    out_a, out_b, _, prob = measure_one(to_pauli(zero), 0, "Z", 1.0, QueuedU(HI, HI))
     assert out_a == out_b == 1 and prob == 1.0
     with pytest.raises(ImpossibleOutcomeError):
-        pauli_measure(np.zeros((4, 4)), 0, "Z", 1.0, QueuedU(0.5, 0.5))
+        measure_one(np.zeros((4, 4)), 0, "Z", 1.0, QueuedU(0.5, 0.5))
 
 
 def test_noisy_measure_bad_basis():
     with pytest.raises(ValueError):
-        pauli_measure(to_pauli(make_werner(0.9)), 0, "I", 0.99, QueuedU(0.5, 0.5))
+        measure_one(to_pauli(make_werner(0.9)), 0, "I", 0.99, QueuedU(0.5, 0.5))
 
 
 def test_measurement_channel_preserves_trace():
     # unconditioned on the outcomes, measurement is trace preserving
     for basis in ("X", "Y", "Z"):
         r = to_pauli(random_density(4, RNG))
-        probs = [pauli_measure(r, 0, basis, 0.8, QueuedU(*u))[3] for u in BRANCH_UNIFORMS]
+        probs = [measure_one(r, 0, basis, 0.8, QueuedU(*u))[3] for u in BRANCH_UNIFORMS]
         assert abs(sum(probs) - 1.0) < 1e-10
 
 
@@ -253,19 +270,19 @@ def test_register_channels_match_dense_oracle(n):
     for c, t in permutations(range(m), 2):
         for kind in ("CNOT", "CZ"):
             for p_g in (1.0, 0.97):
-                got = dense_register(pauli_clifford(r, kind, (c, t), p_g))
+                got = dense_register(clifford_one(r, kind, (c, t), p_g))
                 want = bilateral_gate(reg, TWO_QUBIT_GATES[kind], c, t, p_g).rho
                 assert np.abs(got - want).max() < 1e-15
     noise = NoiseParams(t1=1.0, t2=0.8)
     for i in range(m):
-        got = dense_register(pauli_clifford(r, "ROT", (i,)))
+        got = dense_register(clifford_one(r, "ROT", (i,)))
         assert np.abs(got - rotate_pair(reg, i).rho).max() < 1e-15
         got = dense_register(decohere_one(r, i, 0.3, noise))
         assert np.abs(got - decohere(reg, (2 * i, 2 * i + 1), 0.3, noise).rho).max() < 1e-15
         for basis in ("X", "Y", "Z"):
             for p_m in (1.0, 0.93):
                 for u in BRANCH_UNIFORMS:
-                    out_a, out_b, post, prob = pauli_measure(r, i, basis, p_m, QueuedU(*u))
+                    out_a, out_b, post, prob = measure_one(r, i, basis, p_m, QueuedU(*u))
                     want_a, want_b, want, want_prob = measure_pair(reg, i, basis, p_m, QueuedU(*u))
                     assert (out_a, out_b) == (want_a, want_b)
                     assert abs(prob - want_prob) < 1e-15
@@ -301,7 +318,7 @@ def test_pauli_rotation_matches_rot_pair():
     for _ in range(20):
         rho = random_density(4, rng)
         want = to_pauli(ROT_PAIR @ rho @ ROT_PAIR.conj().T)
-        assert np.abs(pauli_clifford(to_pauli(rho), "ROT", (0,)) - want).max() < 1e-15
+        assert np.abs(clifford_one(to_pauli(rho), "ROT", (0,)) - want).max() < 1e-15
 
 
 _RANDOM_NOISE = tuple(np.random.default_rng(21).uniform(0.5, 1.0, size=2))

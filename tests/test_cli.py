@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -294,6 +295,17 @@ def test_delivery_bound_follows_protocol_and_grid(tmp_path, capsys):
     # only OPT on the timed engine pays for restarts; blind OPT skips lost rounds
     parse_config(lossy + "protocols = NOP,BASE,HOPT\n")
     parse_config(lossy + "measure_before_confirm = true\n")
+    # where only OPT's restart bound binds, mbc spares pumping (blind) but
+    # not a circuit, and bare-pair OPT under mbc is raw delivery
+    steep = (
+        "kind = ground\nd_km = 50\nmu_hz = 1e9\nf0 = 0.9\nalpha_db_per_km = 0.62\n"
+        "protocols = OPT\nmeasure_before_confirm = true\n"
+    )
+    optimized5 = resources.files("purlink") / "circuits" / "optimized5.circuit"
+    with pytest.raises(ConfigError, match="bounded time"):
+        parse_config(steep + f"circuit = {optimized5}\n")
+    parse_config(steep + "n_steps = 4\n")
+    parse_config(steep + "n_steps = 0\n")
     # one unbounded grid point rejects the whole sweep
     text = MINIMAL + (
         "trials_min = 100\nmax_trials = 100\nprotocols = NOP\nn_steps = 0\n"
@@ -327,7 +339,7 @@ def test_unwritable_output_is_runtime_error(tmp_path, capsys):
     text = FAST + "protocols = NOP\nn_steps = 0\nsweep_param = f0\nsweep_values = 0.8, 0.9\n"
     path = cfg_file(tmp_path, text)
     assert main(["sweep", path, str(tmp_path / "no" / "dir" / "out.csv")]) == 3
-    capsys.readouterr()
+    assert "runtime error" in capsys.readouterr().err
 
 
 def test_flag_overrides_validate(tmp_path, capsys):

@@ -181,8 +181,8 @@ def test_store_holds_only_the_registers_compile_keeps(name, mbc, monkeypatch):
     written, stores = set(), []
     init = protocols._Batch.__init__
 
-    def recording_init(self, kernel, kept, lanes):
-        init(self, kernel, kept, lanes)
+    def recording_init(self, noise, werner, kept, lanes):
+        init(self, noise, werner, kept, lanes)
         self.store = RecordingStore(self.store, written)
         stores.append(self.store)
 
@@ -191,11 +191,35 @@ def test_store_holds_only_the_registers_compile_keeps(name, mbc, monkeypatch):
         written.clear()
         stores.clear()
         run_trials(kind, scheme, LINKS["timed"], NOISE, [np.random.default_rng((63, i)) for i in range(20)])
-        _, circ = protocols._circuit(kind, scheme)
+        _, circ, _ = protocols.plan(kind, scheme)
         lanes = protocols.batch_lanes(kind, scheme)
-        _, kept, in_hand = protocols._compile(circ)
+        _, _, _, kept, in_hand = protocols._compile(circ)
         assert written <= set(kept), (name, mbc, scheme)
         (store,) = stores
         stored = sum(dict.__getitem__(store, key).shape[1] for key in store)
         assert lanes * (protocols._MAX_BLOCK + stored + in_hand) <= protocols._BATCH_ELEMENTS, (name, mbc, scheme)
     assert protocols.batch_lanes(kind, packaged("optimized5")) >= 150
+
+
+@pytest.mark.parametrize("mbc", [False, True])
+@pytest.mark.parametrize("name", ["NOP", "BASE", "HOPT", "OPT"])
+def test_compile_numbers_each_run_once(name, mbc):
+    # a run goes from entry 0, or the entry after a step or measurement, to
+    # the next step, measurement or delivery; equal runs share an id, so
+    # every step of Pumping(n) is one group and its delivery another
+    kind = ProtocolKind(name, measure_before_confirm=mbc)
+    ends = (protocols._STEP, protocols._MEASURE)
+    for n in range(1, 6):
+        _, circ, _ = protocols.plan(kind, Pumping(n))
+        _, runs, run_ops, _, _ = protocols._compile(circ)
+        if name == "NOP":  # raw delivery: one run
+            assert len(run_ops) == len(set(runs.values())) == 1, (name, mbc, n)
+        else:
+            assert len(run_ops) == len(set(runs.values())) == 2, (name, mbc, n)
+    for scheme_name, make in SCHEMES.items():
+        _, circ, _ = protocols.plan(kind, make())
+        program, runs, run_ops, _, _ = protocols._compile(circ)
+        assert set(runs) == {0} | {i + 1 for i, entry in enumerate(program) if entry[0] in ends}, scheme_name
+        for start, ident in runs.items():
+            end = next(i for i in range(start, len(program)) if program[i][0] in (*ends, protocols._DELIVER))
+            assert run_ops[ident] == tuple(entry[3] for entry in program[start:end + 1]), (scheme_name, start)

@@ -167,7 +167,7 @@ def parse_config(text: str, base_dir: Union[str, Path, None] = None) -> Config:
             path = Path(base_dir) / path
         try:
             scheme = CircuitScheme(load_circuit(path))
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"invalid value for 'circuit': {exc}") from None
     else:
         try:
@@ -304,7 +304,7 @@ def load_config(path: Union[str, Path]) -> Config:
     p = Path(path)
     try:
         text = p.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     return parse_config(text, base_dir=p.parent)
 

@@ -112,7 +112,7 @@ Scheme = Union[Pumping, CircuitScheme]
 @dataclass(frozen=True)
 class TrialResult:
     completion_time: float
-    output_state: Optional[TwoQubitState]
+    output_state: TwoQubitState
     pairs_consumed: int
     steps_completed: int
     restarts: int
@@ -128,56 +128,27 @@ def expected_nop_time(link: LinkConfig) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Event/audit plumbing. Events are text lines "time node kind detail";
-# audit maps (episode, pair) -> [arrival, decohered_total, end] and is only
-# kept for pairs that reach their natural end (measured or delivered).
+# Event lines. A traced lane appends text lines "time node kind detail" to its
+# caller's event list; an untraced lane holds None and formats nothing.
 
 
-class _Trace:
-    __slots__ = ("events", "audit", "episode", "live", "_open")
+def _event(events: list, t: float, node: str, kind: str, detail: str = "") -> None:
+    events.append(f"{t:.12f} {node} {kind} {detail}".rstrip())
 
-    def __init__(self, events, audit):
-        self.events = events
-        self.audit = audit
-        self.episode = 0
-        self.live = events is not None
-        self._open: dict[int, list[float]] = {}
 
-    def event(self, t: float, node: str, kind: str, detail: str = "") -> None:
-        if self.events is not None:
-            self.events.append(f"{t:.12f} {node} {kind} {detail}".rstrip())
-
-    def message(
-        self, send_time: float, arrival_time: float, node: str, kind: str,
-        step: Optional[int] = None, outcome: Optional[int] = None,
-    ) -> None:
-        """Log a classical message from node to the other: herald_ok, herald_fail, purify_outcome or final_confirm."""
-        if self.events is not None:
-            extra = ""
-            if step is not None:
-                extra = f"step={step}"
-                if outcome is not None:
-                    extra += f" outcome={outcome:+d}"
-            other = "B" if node == "A" else "A"
-            self.event(send_time, node, f"send_{kind}", extra)
-            self.event(arrival_time, other, f"recv_{kind}", extra)
-
-    def born(self, pair: int, arrival: float) -> None:
-        if self.audit is not None:
-            self._open[pair] = [arrival, 0.0]
-
-    def decohered(self, pair: int, dt: float) -> None:
-        if self.audit is not None and pair in self._open:
-            self._open[pair][1] += dt
-
-    def closed(self, pair: int, end: float) -> None:
-        if self.audit is not None and pair in self._open:
-            arrival, total = self._open.pop(pair)
-            self.audit[(self.episode, pair)] = (arrival, total, end)
-
-    def teardown(self) -> None:
-        self.episode += 1
-        self._open.clear()
+def _message(
+    events: list, send_time: float, arrival_time: float, node: str, kind: str,
+    step: Optional[int] = None, outcome: Optional[int] = None,
+) -> None:
+    """Log a classical message from node to the other: herald_ok, herald_fail, purify_outcome or final_confirm."""
+    extra = ""
+    if step is not None:
+        extra = f"step={step}"
+        if outcome is not None:
+            extra += f" outcome={outcome:+d}"
+    other = "B" if node == "A" else "A"
+    _event(events, send_time, node, f"send_{kind}", extra)
+    _event(events, arrival_time, other, f"recv_{kind}", extra)
 
 
 # ---------------------------------------------------------------------------
@@ -293,17 +264,17 @@ class _Lane:
     """One trial of a batch: its uniforms, its totals and its episode's clocks."""
 
     __slots__ = (
-        "rng", "buf", "pos", "trace", "pairs", "restarts", "usable", "touched", "pc",
+        "rng", "buf", "pos", "events", "pairs", "restarts", "usable", "touched", "pc",
         "slot_free", "k_last", "last_arrival", "check_floor", "mismatch_resolve", "doomed", "t_local",
         "steps", "dts", "u", "row", "round_next",
     )
 
-    def __init__(self, rng, trace: _Trace, n_pairs: int, row: int):
+    def __init__(self, rng, events: Optional[list], n_pairs: int, row: int):
         self.rng = rng
         self.row = row  # in the batch's register store
         self.buf = array("d")
         self.pos = 0
-        self.trace = trace
+        self.events = events  # the caller's event list, None when untraced
         self.pairs = self.restarts = 0
         self.usable = [0.0] * n_pairs  # local time from which each pair may be used
         self.touched = [0.0] * n_pairs  # time each pair is decohered up to
@@ -392,7 +363,7 @@ class _Batch:
 
 
 def _lockstep(
-    kind: ProtocolKind, scheme: Scheme, link: LinkConfig, noise: NoiseParams, rngs, traces
+    kind: ProtocolKind, scheme: Scheme, link: LinkConfig, noise: NoiseParams, rngs, logs
 ) -> list[TrialResult]:
     """Run one lane per generator from empty memories until each delivers.
 
@@ -452,8 +423,6 @@ def _lockstep(
 
     def restart(lane: _Lane, ref: float) -> None:
         lane.restarts += 1
-        if lane.trace.audit is not None:
-            lane.trace.teardown()
         begin(lane, ref)
 
     def acquire(lane: _Lane, k_min: int, floor: float, first: bool) -> tuple[bool, int, float]:
@@ -485,18 +454,16 @@ def _lockstep(
                 k += 1
                 continue
             arrival = k * period + photon_delay
-            trace = lane.trace
-            if trace.live:
+            events = lane.events
+            if events is not None:
                 loser = "B" if got_a else "A"
-                trace.event(arrival, loser, "photon_lost", f"tick={k}")
-                trace.message(arrival, arrival + herald, loser, "herald_fail")
+                _event(events, arrival, loser, "photon_lost", f"tick={k}")
+                _message(events, arrival, arrival + herald, loser, "herald_fail")
             if hold is not None:
                 k_hold = math.ceil((arrival + hold - photon_delay) / period - _TICK_EPS)
                 k = k_hold if k_hold > k + 1 else k + 1
             elif first:
                 lane.restarts += 1
-                if trace.audit is not None:
-                    trace.teardown()
                 k = max(1, math.ceil((arrival + herald) / period - _TICK_EPS))  # the slot floor 0.0 never binds
             else:
                 lane.pos = i
@@ -524,11 +491,9 @@ def _lockstep(
                     if skipped:
                         lane.restarts += skipped
                         k += skipped * span
-                        if lane.trace.live:
-                            lane.trace.event(
-                                (k - 1) * period + photon_delay, "AB", "rounds_filtered",
-                                f"count={skipped} cause=loss",
-                            )
+                        if lane.events is not None:
+                            _event(lane.events, (k - 1) * period + photon_delay, "AB", "rounds_filtered",
+                                   f"count={skipped} cause=loss")
                 lane.round_next = k + span
             else:
                 k = k_min - 1 + stride  # a stride after the previous pair's tick
@@ -541,9 +506,7 @@ def _lockstep(
         Rotations and gates on the way need no outcome, so the lane walks
         past them; lane.dts collects the durations of each op of the run.
         """
-        trace = lane.trace
-        live = trace.live
-        audit = trace.audit is not None
+        events = lane.events
         start = lane.pc
         lane.dts = []
         while True:
@@ -560,11 +523,9 @@ def _lockstep(
                 lane.pairs += 1
                 lane.last_arrival = lane.touched[p] = a
                 lane.usable[p] = a + lag
-                if audit:
-                    trace.born(p, a)
-                if live:
-                    trace.event(a, "AB", "pair_stored", f"pair={p}")
-                    trace.message(a, a + herald, "A", "herald_ok")
+                if events is not None:
+                    _event(events, a, "AB", "pair_stored", f"pair={p}")
+                    _message(events, a, a + herald, "A", "herald_ok")
             if ref is None and code == _DELIVER:
                 # an untouched survivor is usable on arrival; every other pair
                 # arrived before the instruction that first touched it
@@ -575,21 +536,17 @@ def _lockstep(
                         # Delivered blind and filtered once the messages arrive;
                         # the round costs time but produces nothing.
                         ref = completion
-                        if live:
-                            trace.event(completion, "AB", "filtered")
+                        if events is not None:
+                            _event(events, completion, "AB", "filtered")
                 else:
                     completion = max(t_local, lane.last_arrival + herald, lane.check_floor)
-                    if live:
-                        trace.message(t_local, t_local + herald, "A", "final_confirm")
+                    if events is not None:
+                        _message(events, t_local, t_local + herald, "A", "final_confirm")
                 if ref is None:
-                    dt = completion - lane.touched[survivor]
-                    if audit:
-                        trace.decohered(survivor, dt)
-                        trace.closed(survivor, completion)
-                    if live:
-                        trace.event(completion, "AB", "delivered", f"pair={survivor}")
+                    if events is not None:
+                        _event(events, completion, "AB", "delivered", f"pair={survivor}")
                     lane.t_local = completion
-                    lane.dts.append((dt,))
+                    lane.dts.append((completion - lane.touched[survivor],))
                     return runs[start]
             elif ref is None:
                 tau = lane.t_local
@@ -616,9 +573,7 @@ def _lockstep(
             touched = lane.touched
             dts = [tau_end - touched[p] for p in operands]
             lane.dts.append(dts)
-            for p, dt in zip(operands, dts):
-                if audit and dt > 0.0:
-                    trace.decohered(p, dt)
+            for p in operands:
                 touched[p] = tau_end
             lane.t_local = tau_end
             if code == _STEP or code == _MEASURE:
@@ -632,23 +587,21 @@ def _lockstep(
         """Book the outcome of the measurement at the lane's entry."""
         code, operands, _, _, keep, _ = program[lane.pc]
         p = operands[-1]
-        trace = lane.trace
+        events = lane.events
         tau_end = lane.t_local
         if code == _STEP:
             kept = out_a == out_b
-            if trace.live:
-                trace.event(tau_end, "AB", "purify_step", f"step={lane.steps + 1} a={out_a:+d} b={out_b:+d}")
+            if events is not None:
+                _event(events, tau_end, "AB", "purify_step", f"step={lane.steps + 1} a={out_a:+d} b={out_b:+d}")
         else:
             kept = (out_a == out_b) == keep
-            if trace.live:
-                trace.event(tau_end, "AB", "measure", f"pair={p} a={out_a:+d} b={out_b:+d}")
+            if events is not None:
+                _event(events, tau_end, "AB", "measure", f"pair={p} a={out_a:+d} b={out_b:+d}")
         lane.steps += 1
         heappush(lane.slot_free, tau_end)
         check = lane.check_floor = tau_end + herald
-        if trace.audit is not None:
-            trace.closed(p, tau_end)
-        if trace.live:
-            trace.message(tau_end, check, "A", "purify_outcome", lane.steps, out_a)
+        if events is not None:
+            _message(events, tau_end, check, "A", "purify_outcome", lane.steps, out_a)
         lane.pc += 1
         if not kept:
             if not mbc:
@@ -658,7 +611,7 @@ def _lockstep(
                 if not blind:  # the others abort once the outcome message crosses
                     lane.mismatch_resolve = min(lane.mismatch_resolve, check)
 
-    lanes = [_Lane(rng, trace, circ.num_pairs, row) for row, (rng, trace) in enumerate(zip(rngs, traces))]
+    lanes = [_Lane(rng, events, circ.num_pairs, row) for row, (rng, events) in enumerate(zip(rngs, logs))]
     for lane in lanes:
         begin(lane, 0.0)
     batch = _Batch(noise, werner, kept, len(lanes))
@@ -716,8 +669,7 @@ def run_trials(
     run_trial(kind, scheme, link, noise, rngs[i]) whatever the batch. Each
     generator may be advanced past its trial's last draw.
     """
-    quiet = _Trace(None, None)  # holds nothing, so every lane can share it
-    return _lockstep(kind, scheme, link, noise, rngs, [quiet] * len(rngs))
+    return _lockstep(kind, scheme, link, noise, rngs, [None] * len(rngs))
 
 
 def batch_lanes(kind: ProtocolKind, scheme: Scheme) -> int:
@@ -738,8 +690,10 @@ def run_trial(
     rng,
     *,
     events: Optional[list] = None,
-    audit: Optional[dict] = None,
 ) -> TrialResult:
-    """Simulate one delivery from empty memories to one accepted pair: a batch of one."""
-    (result,) = _lockstep(kind, scheme, link, noise, [rng], [_Trace(events, audit)])
+    """Simulate one delivery from empty memories to one accepted pair: a batch of one.
+
+    A list passed as events receives the trial's event lines, "time node kind detail".
+    """
+    (result,) = _lockstep(kind, scheme, link, noise, [rng], [events])
     return result

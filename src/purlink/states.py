@@ -30,8 +30,10 @@ PSI_PLUS = np.array([0.0, _SQ2, _SQ2, 0.0], dtype=complex)
 PHI_MINUS = np.array([_SQ2, 0.0, 0.0, -_SQ2], dtype=complex)
 
 BELL_VECTORS = (PHI_PLUS, PSI_MINUS, PSI_PLUS, PHI_MINUS)
+_PHI_PLUS_PROJ = np.outer(PHI_PLUS, PHI_PLUS.conj())
 
 I2 = np.eye(2, dtype=complex)
+_I4 = np.eye(4, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -55,8 +57,7 @@ def make_werner(f0: float) -> TwoQubitState:
     """
     if not 0.25 <= f0 <= 1.0:
         raise ValueError(f"werner fidelity must be in [0.25, 1], got {f0}")
-    proj = np.outer(PHI_PLUS, PHI_PLUS.conj())
-    return ((4.0 * f0 - 1.0) / 3.0) * proj + ((1.0 - f0) / 3.0) * np.eye(4, dtype=complex)
+    return ((4.0 * f0 - 1.0) / 3.0) * _PHI_PLUS_PROJ + ((1.0 - f0) / 3.0) * _I4
 
 
 def bell_diagonal_state(coeffs: BellCoeffs) -> TwoQubitState:

@@ -7,13 +7,17 @@ purlink from ROOT/src. The grid is NOP, BASE, HOPT and OPT, with
 measure_before_confirm off and on, times Pumping 0, 2 and 5, the packaged
 dejmps and optimized5 circuits, a three-pair circuit and a lone measurement,
 times four links and three noise settings, times N seeds (default 20:
-13,440 results). Trial s of a cell draws from default_rng((s, cell)).
-With --batch, ROOT_B runs each cell's seeds through one run_trials call.
+13,440 results). Trial s of a cell draws from default_rng((s, cell)), and
+runs with events= so its event log is kept with its result. With --batch,
+ROOT_B runs each cell's seeds through one run_trials call and keeps no
+logs, so logs are compared only without it.
 
 It prints the result count, how many timelines (completion time, pairs,
-steps, restarts) are exact, the largest state difference among those, and
-every flipped draw: a cell and seed whose timeline differs. It exits 1 if
-any timeline differs or either side raised where the other did not.
+steps, restarts) are exact, the largest state difference among those,
+every flipped draw (a cell and seed whose timeline differs), and how many
+event logs were compared and differ, with the first differing line of
+each. It exits 1 if any timeline or event log differs or either side
+raised where the other did not.
 
     python tests/equivalence_grid.py --cli ROOT_A ROOT_B
 
@@ -105,7 +109,7 @@ def cells():
 
 
 def run_grid(root: str, seeds: int, batch: bool) -> dict:
-    """{(cell, seed): (time, pairs, steps, restarts, state) or error text}."""
+    """{(cell, seed): (time, pairs, steps, restarts, state[, event log]) or error text}."""
     sys.path.insert(0, str(Path(root, "src").resolve()))
     import numpy as np
     from purlink import CircuitScheme, LinkConfig, NoiseParams, ProtocolKind, Pumping, parse_circuit, run_trial
@@ -131,19 +135,21 @@ def run_grid(root: str, seeds: int, batch: bool) -> dict:
 
                 results = run_trials(*args, rngs)
             else:
-                results = [run_trial(*args, rng) for rng in rngs]
+                logs = [[] for _ in rngs]
+                results = [run_trial(*args, rng, events=log) for rng, log in zip(rngs, logs)]
         except Exception as exc:  # recorded, compared like a result
             results = [f"{type(exc).__name__}: {exc}"] * seeds
         for s, r in enumerate(results):
             out[cell, s] = r if isinstance(r, str) else (
-                r.completion_time, r.pairs_consumed, r.steps_completed, r.restarts, r.output_state)
+                r.completion_time, r.pairs_consumed, r.steps_completed, r.restarts, r.output_state,
+                *(() if batch else (tuple(logs[s]),)))
     return out
 
 
 def compare(a: dict, b: dict) -> int:
     import numpy as np
 
-    exact, flipped, max_diff = 0, [], 0.0
+    exact, flipped, max_diff, compared, differ = 0, [], 0.0, 0, []
     for key, ra in a.items():
         rb = b[key]
         if isinstance(ra, str) or isinstance(rb, str):
@@ -157,13 +163,21 @@ def compare(a: dict, b: dict) -> int:
             continue
         exact += 1
         max_diff = max(max_diff, float(np.abs(ra[4] - rb[4]).max()))
+        if len(ra) == len(rb) == 6:
+            compared += 1
+            if ra[5] != rb[5]:
+                first = next((la, lb) for la, lb in itertools.zip_longest(ra[5], rb[5]) if la != lb)
+                differ.append((key, *first))
     print(f"results: {len(a)}")
     print(f"exact timelines: {exact}")
     print(f"max state difference: {max_diff:.3g}")
     print(f"flipped draws: {len(flipped)}")
     for key, ta, tb in flipped:
         print(f"  {key}: {ta} -> {tb}")
-    return 1 if flipped else 0
+    print(f"event logs compared: {compared}, differing: {len(differ)}")
+    for key, la, lb in differ:
+        print(f"  {key}: {la!r} -> {lb!r}")
+    return 1 if flipped or differ else 0
 
 
 def run_cli(root: str, work: Path) -> dict:

@@ -129,6 +129,12 @@ def test_missing_circuit_file(tmp_path):
     with pytest.raises(ConfigError) as err:
         load_config(path)
     assert "circuit" in str(err.value)
+    # a circuit file that is not UTF-8 is unreadable too
+    (tmp_path / "binary.circuit").write_bytes(b"PAIRS 2\n\xff\n")
+    path = cfg_file(tmp_path, MINIMAL + "circuit = binary.circuit\n")
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert "circuit" in str(err.value)
 
 
 def test_n_steps_sweep_rejected_for_circuit_scheme(tmp_path):
@@ -174,6 +180,8 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["bogus"]) == 1
     assert main(["--help"]) == 0  # argparse exits 0; main maps it through
     assert main(["simulate", str(tmp_path / "absent.cfg")]) == 2
+    (tmp_path / "binary.cfg").write_bytes(b"kind = ground\n\xff\n")
+    assert main(["simulate", str(tmp_path / "binary.cfg")]) == 2
     capsys.readouterr()
 
 

@@ -71,6 +71,9 @@ def test_lane_equals_lone_trial_in_any_batch(name, mbc):
         for link_name, link in LINKS.items():
             where = (name, mbc, scheme_name, link_name)
             alone = [run_trial(kind, scheme, link, NOISE, np.random.default_rng((61, i))) for i in range(100)]
+            for i in range(5):  # tracing draws nothing
+                traced = run_trial(kind, scheme, link, NOISE, np.random.default_rng((61, i)), events=[])
+                assert same(traced, alone[i]), (*where, "traced", i)
             for lo, size in ((0, 100), (3, 7), (42, 1)):
                 rngs = [np.random.default_rng((61, i)) for i in range(lo, lo + size)]
                 batch = run_trials(kind, scheme, link, NOISE, rngs)

@@ -4,6 +4,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
+from purlink import protocols
 from purlink.channels import NoiseParams
 from purlink.linkmodel import GROUND, LinkConfig, attempt_success_prob, link_delays
 from purlink.protocols import (
@@ -336,32 +337,72 @@ def test_higher_steps_consume_more_pairs():
 # --- decoherence accounting ---
 
 
-def test_decoherence_audit_covers_every_stored_interval():
-    # each audited pair: decohered time == lifetime between arrival and close
+def stored_intervals(monkeypatch, kind, scheme, seed):
+    """{(episode, pair): (arrival, decohered, end)} for each pair the trial closes.
+
+    _Batch.run is wrapped to append (ops, durations) to the trial's event
+    list, so the log shows what the state kernels apply, in order. A pair
+    opens at pair_stored; each load of it adds the duration _Batch.decohere
+    applies, the pair being key[pos], or the last stored pair for a step's
+    sacrifice; measure, purify_step (its sacrifice) and delivered close it.
+    A delivered line is written before its op runs, so the sums are settled
+    after the whole log is read. Each episode stores pair 0 first.
+    """
+    log = []
+    run = protocols._Batch.run
+
+    def recording(self, ops, ix, dts, us):
+        log.append((ops, dts[0]))
+        return run(self, ops, ix, dts, us)
+
     link = ground(gate_time=1e-6, measure_time=5e-7)
+    with monkeypatch.context() as patch:
+        patch.setattr(protocols._Batch, "run", recording)
+        run_trial(kind, scheme, link, DEFAULT_NOISE, np.random.default_rng(seed), events=log)
+    episode, last = -1, None
+    arrival, decohered, end = {}, {}, {}
+    for entry in log:
+        if isinstance(entry, tuple):
+            ops, dts = entry
+            for (_, loads, _, _, _), durations in zip(ops, dts):
+                for (key, pos, _), dt in zip(loads, durations):
+                    if dt > 0.0:
+                        decohered[episode, last if key is None else key[pos]] += dt
+            continue
+        t, _, what, *detail = entry.split()
+        if what in ("pair_stored", "measure", "delivered", "purify_step"):
+            fields = dict(item.split("=") for item in detail)
+            if what == "pair_stored":
+                last = int(fields["pair"])
+                episode += last == 0
+                arrival[episode, last], decohered[episode, last] = float(t), 0.0
+            else:
+                end[episode, int(fields["step" if what == "purify_step" else "pair"])] = float(t)
+    return {key: (arrival[key], decohered[key], t_end) for key, t_end in end.items()}
+
+
+def test_decoherence_audit_covers_every_stored_interval(monkeypatch):
+    # each closed pair: the durations _Batch applies sum to its lifetime
+    # between arrival and close
     kinds = [NOP, BASE, HOPT, OPT, OPT_MBC, ProtocolKind("BASE", measure_before_confirm=True)]
     for kind in kinds:
-        audit = {}
-        run_trial(kind, Pumping(3), link, DEFAULT_NOISE, np.random.default_rng(11), audit=audit)
-        assert audit, f"no audited pairs for {kind}"
-        for (episode, pair), (arrival, decohered, end) in audit.items():
+        intervals = stored_intervals(monkeypatch, kind, Pumping(3), 11)
+        assert intervals, f"no closed pairs for {kind}"
+        for (episode, pair), (arrival, decohered, end) in intervals.items():
             assert abs((end - arrival) - decohered) < 1e-12, (kind, episode, pair)
 
 
 @pytest.mark.parametrize("mbc", [False, True])
 @pytest.mark.parametrize("name", ["BASE", "HOPT", "OPT"])
 @pytest.mark.parametrize("circuit", sorted(CIRCUITS))
-def test_decoherence_audit_circuit_scheme(circuit, name, mbc):
+def test_decoherence_audit_circuit_scheme(circuit, name, mbc, monkeypatch):
     # pairs move from registers of their own into joined ones; every stored
     # interval must be decohered exactly once either way
-    link = ground(gate_time=1e-6, measure_time=5e-7)
     kind = ProtocolKind(name, measure_before_confirm=mbc)
-    audit = {}
-    run_trial(kind, CircuitScheme(CIRCUITS[circuit]()), link, DEFAULT_NOISE,
-              np.random.default_rng(21), audit=audit)
-    assert audit
-    for (_, _), (arrival, decohered, end) in audit.items():
-        assert abs((end - arrival) - decohered) < 1e-12
+    intervals = stored_intervals(monkeypatch, kind, CircuitScheme(CIRCUITS[circuit]()), 21)
+    assert intervals
+    for (episode, pair), (arrival, decohered, end) in intervals.items():
+        assert abs((end - arrival) - decohered) < 1e-12, (episode, pair)
 
 
 # --- blind pipelining (OPT + measure_before_confirm) ---

@@ -15,7 +15,7 @@ from typing import Optional, Union
 
 from .analysis import SKF_MODES
 from .channels import NoiseParams, OpticalHardware
-from .linkmodel import GROUND, LinkConfig, per_photon_survival
+from .linkmodel import GROUND, LinkConfig, link_delays, per_photon_survival
 from .protocols import PROTOCOL_NAMES, CircuitScheme, ProtocolKind, Pumping, Scheme, plan
 from .purify import load_circuit
 
@@ -262,7 +262,22 @@ def check_delivery_bound(cfg: Config, protocols: tuple[str, ...], mbc: bool) -> 
     so it also needs at least ((2-p)/p)^N ticks, unless it acquires blind
     and skips lost rounds in one draw. N and blindness are what
     protocols.plan runs.
+
+    The engine counts time in source ticks, so MAX_DELIVERY_TICKS source
+    periods must be a finite time, and neither the photon delay nor the
+    herald delay may span more periods; a 20 km herald at 1 GHz spans 1e5.
     """
+    period, photon_delay, herald = link_delays(cfg.link)
+    clock = MAX_DELIVERY_TICKS * period
+    if not (math.isfinite(clock + photon_delay + herald) and max(photon_delay, herald) <= clock):
+        speeds = f"c_fiber_km_s = {cfg.link.c_fiber!r}"
+        if cfg.link.kind != GROUND:
+            speeds += f" and c_vacuum_km_s = {cfg.link.c_vacuum!r}"
+        raise ConfigError(
+            f"link delays do not fit the source clock: mu_hz = {cfg.link.mu!r} with {speeds} gives a period "
+            f"of {period:.3g} s and delays of {photon_delay:.3g} and {herald:.3g} s, but "
+            f"{MAX_DELIVERY_TICKS:.0e} periods must be finite and span both delays"
+        )
     p = per_photon_survival(cfg.link)
     log_p = math.log10(p) if p > 0.0 else -math.inf
     log_ticks = -math.inf

@@ -30,14 +30,14 @@ empty circuit Pumping(0) with no partner slot to hold, and blind OPT (OPT
 with measure_before_confirm on pumping) acquires on a round schedule.
 _compile flattens the circuit once and numbers its runs: a run goes from
 entry 0, or the entry after a step or measurement, to the next step,
-measurement or delivery, and equal runs share an id. Each round, every live
-lane does its scalar bookkeeping (acquisition from prefetched uniforms,
-timing, restarts) through its run, and the lanes are grouped by run id. A
-group's state operations run once over its lanes: registers decohere
-through channels.decohere_lanes, are rotated and gated by
-purify.clifford_lanes and measured by channels.measure_branches; pumping
-steps run purify._pump_step, and channels.sample_branches draws the
-outcomes lane by lane. A lane draws its own uniforms in the order a lone
+measurement or delivery, and equal runs share an id. Each lane is one
+generator that tells its trial in order (acquisition from prefetched
+uniforms, timing, restarts) and yields at the end of each run, and the
+lanes are grouped by the run id they yield. A group's state operations run
+once over its lanes: registers decohere through channels.decohere_lanes,
+are rotated and gated by purify.clifford_lanes and measured by
+channels.measure_branches; pumping steps run purify._pump_step, and
+channels.sample_branches draws the outcomes lane by lane. A lane draws its own uniforms in the order a lone
 trial would and does its own arithmetic, so its result is bit-identical in
 a batch of any size. Acquisition reads the source tick by tick, except
 under blind OPT, whose pairs land on a fixed round schedule and whose lost
@@ -59,6 +59,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heappop, heappush
@@ -260,47 +261,9 @@ _MAX_BLOCK = 128
 _BATCH_ELEMENTS = 1 << 16  # floats one batch of lanes may hold (see batch_lanes)
 
 
-class _Lane:
-    """One trial of a batch: its uniforms, its totals and its episode's clocks."""
-
-    __slots__ = (
-        "rng", "buf", "pos", "events", "pairs", "restarts", "usable", "touched", "pc",
-        "slot_free", "k_last", "last_arrival", "check_floor", "mismatch_resolve", "doomed", "t_local",
-        "steps", "dts", "u", "row", "round_next",
-    )
-
-    def __init__(self, rng, events: Optional[list], n_pairs: int, row: int):
-        self.rng = rng
-        self.row = row  # in the batch's register store
-        self.buf = array("d")
-        self.pos = 0
-        self.events = events  # the caller's event list, None when untraced
-        self.pairs = self.restarts = 0
-        self.usable = [0.0] * n_pairs  # local time from which each pair may be used
-        self.touched = [0.0] * n_pairs  # time each pair is decohered up to
-        self.round_next = 1  # blind OPT: the first tick of the next round
-
-    def refill(self) -> array:
-        """Append the next block of uniforms; a scripted stand-in may return fewer."""
-        self.buf = self.buf[self.pos:] + array("d", self.rng.random(_MAX_BLOCK).tobytes())
-        self.pos = 0
-        return self.buf
-
-    def uniform(self) -> float:
-        """The lane's next uniform: blind OPT draws one per round for its lost rounds."""
-        buf, i = self.buf, self.pos
-        while i >= len(buf):
-            buf, i = self.refill(), 0
-        self.pos = i + 1
-        return buf[i]
-
-    def uniforms(self) -> tuple[float, float]:
-        """The lane's next two uniforms: two per source tick, two per outcome."""
-        buf, i = self.buf, self.pos
-        while i + 2 > len(buf):
-            buf, i = self.refill(), 0
-        self.pos = i + 2
-        return buf[i], buf[i + 1]
+def _refill(rng, buf: array, pos: int) -> array:
+    """The uniforms of buf from pos on, then the next block; a scripted stand-in may return fewer."""
+    return buf[pos:] + array("d", rng.random(_MAX_BLOCK).tobytes())
 
 
 class _Batch:
@@ -328,7 +291,7 @@ class _Batch:
             r[busy] = decohere_lanes(r[busy], pair, decay_transfer([dts[j] for j in busy], self.noise))
         return r
 
-    def run(self, ops: tuple, ix: np.ndarray, dts: list, us: Optional[list]):
+    def run(self, ops: tuple, ix: np.ndarray, dts: tuple, us: tuple):
         """Apply a run of ops to the lanes ix, dts[i][j] holding lane i's durations for op j.
 
         Returns the last op's outcome lists, or the delivered states.
@@ -367,25 +330,30 @@ def _lockstep(
 ) -> list[TrialResult]:
     """Run one lane per generator from empty memories until each delivers.
 
-    Each round walks every live lane through its scalar bookkeeping, in
-    program order, to its next measurement or delivery: acquisition reads
-    the lane's prefetched uniforms, two per source tick, and a restart
-    resets its program counter and walks on. The lanes are then grouped by
-    the run of ops they walked, and each group runs once through _Batch. A
-    lane takes its uniforms in the order a lone trial would and its
-    arithmetic lane by lane, so its result is the same alone and in a batch
-    of any size.
+    Each lane is a generator, trial, that tells its trial in program order.
+    One pass of its outer loop is one episode from empty memories, and a
+    restart breaks out to it. An entry first acquires the pairs it first
+    references, reading the lane's prefetched uniforms two per source tick,
+    then waits until its operands are usable. At each step or measurement
+    the lane yields (run id, durations, uniforms) for the run of ops it
+    walked, and is sent the outcomes (out_a, out_b). At delivery it yields
+    (run id, durations, None), is sent the delivered state and yields its
+    TrialResult. The lanes are grouped by run id, and each group runs once
+    through _Batch. A lane takes its uniforms in the order a lone trial
+    would and its arithmetic lane by lane, so its result is the same alone
+    and in a batch of any size.
 
     Pairs take memory slots in arrival order; a slot frees at the
     measurement of the pair holding it, and under BASE a new pair is also
     held back until every earlier outcome is checked. A lost photon (OPT),
     a mismatch (without measure_before_confirm) or a filtered delivery
-    (with it) restarts the episode from the moment it is known. A one-sided
-    loss keeps the survivor's slot for `hold` seconds after the lost tick's
-    arrival, then retries: BASE and HOPT hold it until the failure herald
-    crosses; NOP reserves no partner slot (hold = 0.0), so the retry is the
-    next tick. plan picks the kind, the circuit and whether the lanes
-    acquire blind.
+    (with it) restarts the episode from the moment it is known; OPT's first
+    pair of an episode restarts in place, since the episode holds nothing
+    yet. A one-sided loss keeps the survivor's slot for `hold` seconds after
+    the lost tick's arrival, then retries: BASE and HOPT hold it until the
+    failure herald crosses; NOP reserves no partner slot (hold = 0.0), so
+    the retry is the next tick. plan picks the kind, the circuit and
+    whether the lanes acquire blind.
 
     Blind OPT (measure_before_confirm on pumping) scans no source ticks:
     the shared source clock gives every tick a fixed role, round by round,
@@ -398,8 +366,6 @@ def _lockstep(
     """
     kind, circ, blind = plan(kind, scheme)
     program, runs, run_ops, kept, _ = _compile(circ)
-    survivor = circ.survivor
-    n_slots = circ.max_live
     opt = kind.name == "OPT"
     base = kind.name == "BASE"
     mbc = kind.measure_before_confirm
@@ -409,66 +375,6 @@ def _lockstep(
     lag = 0.0 if opt else herald  # the others use a pair once heralded
     hold = None if opt else 0.0 if kind.name == "NOP" else herald
     gate_time, measure_time = link.gate_time, link.measure_time
-
-    def begin(lane: _Lane, ref: float) -> None:
-        """Empty the lane's memories at ref; usable and touched are written before use."""
-        k = math.ceil(ref / period - _TICK_EPS)  # the first tick emitted at or after ref
-        lane.k_last = k - 1 if k > 1 else 0
-        lane.pc = lane.steps = 0
-        lane.slot_free = [0.0] * n_slots  # min-heap of slot release times
-        lane.last_arrival = lane.t_local = 0.0
-        lane.check_floor = 0.0  # when every outcome so far has been checked
-        lane.mismatch_resolve = math.inf
-        lane.doomed = False  # a mismatch under measure_before_confirm filters the delivery
-
-    def restart(lane: _Lane, ref: float) -> None:
-        lane.restarts += 1
-        begin(lane, ref)
-
-    def acquire(lane: _Lane, k_min: int, floor: float, first: bool) -> tuple[bool, int, float]:
-        """Advance through source ticks until a pair is stored at both nodes.
-
-        Returns (ok, k, arrival). Under OPT a one-sided loss returns ok=False
-        so the lane can restart, except for the first pair of an episode:
-        the episode holds nothing yet, so the restart is counted here and the
-        ticks resume where a new episode's first acquisition starts them.
-        """
-        k = math.ceil((floor - photon_delay) / period - _TICK_EPS)  # first arrival at or after floor
-        if k < k_min:
-            k = k_min
-        buf, i = lane.buf, lane.pos
-        end = len(buf) - 1
-        while True:
-            if i >= end:
-                lane.pos = i
-                buf, i = lane.refill(), 0
-                end = len(buf) - 1
-                continue
-            got_a = buf[i] < p_photon
-            got_b = buf[i + 1] < p_photon
-            i += 2
-            if got_a and got_b:
-                lane.pos = i
-                return True, k, k * period + photon_delay
-            if not got_a and not got_b:
-                k += 1
-                continue
-            arrival = k * period + photon_delay
-            events = lane.events
-            if events is not None:
-                loser = "B" if got_a else "A"
-                _event(events, arrival, loser, "photon_lost", f"tick={k}")
-                _message(events, arrival, arrival + herald, loser, "herald_fail")
-            if hold is not None:
-                k_hold = math.ceil((arrival + hold - photon_delay) / period - _TICK_EPS)
-                k = k_hold if k_hold > k + 1 else k + 1
-            elif first:
-                lane.restarts += 1
-                k = max(1, math.ceil((arrival + herald) / period - _TICK_EPS))  # the slot floor 0.0 never binds
-            else:
-                lane.pos = i
-                return False, k, arrival
-
     if blind:
         op_dur = gate_time + measure_time
         stride = 1 if op_dur <= 0.0 else max(1, math.ceil(op_dur / period - _TICK_EPS))
@@ -476,169 +382,187 @@ def _lockstep(
         q_round = (p_photon * p_photon) ** circ.num_pairs  # every photon of a round survives
         log_lost = math.log1p(-q_round) if q_round < 1.0 else None
 
-        def acquire(lane: _Lane, k_min: int, floor: float, first: bool) -> tuple[bool, int, float]:
-            """Store the lane's next pair on its tick of the round; it always lands.
-
-            A round's first pair draws how many rounds photon loss dooms
-            before it (no draw on a lossless link). The step a pair joins
-            fires on its arrival, so lane.t_local moves there even when
-            float rounding ends the previous step an ulp later.
-            """
-            if first:
-                k = lane.round_next
-                if log_lost is not None:
-                    skipped = int(math.log(max(lane.uniform(), 1e-300)) / log_lost)
-                    if skipped:
-                        lane.restarts += skipped
-                        k += skipped * span
-                        if lane.events is not None:
-                            _event(lane.events, (k - 1) * period + photon_delay, "AB", "rounds_filtered",
-                                   f"count={skipped} cause=loss")
-                lane.round_next = k + span
-            else:
-                k = k_min - 1 + stride  # a stride after the previous pair's tick
-            lane.t_local = arrival = k * period + photon_delay
-            return True, k, arrival
-
-    def walk(lane: _Lane) -> int:
-        """Advance a lane to its next measurement or delivery; return the id of its run of ops.
-
-        Rotations and gates on the way need no outcome, so the lane walks
-        past them; lane.dts collects the durations of each op of the run.
-        """
-        events = lane.events
-        start = lane.pc
-        lane.dts = []
-        while True:
-            code, operands, fresh, _, _, seed = program[lane.pc]
-            ref = None
-            for p in fresh:
-                floor = heappop(lane.slot_free)
-                if base and lane.check_floor > floor:
-                    floor = lane.check_floor
-                ok, lane.k_last, a = acquire(lane, lane.k_last + 1, floor, lane.pc == 0 and p == fresh[0])
-                if not ok:
-                    ref = a + herald
+    def trial(rng, events: Optional[list], row: int):
+        """One lane, row of the batch's store; events is its caller's list, None when untraced."""
+        buf, i, end = array("d"), 0, -1  # prefetched uniforms, the next one, and len(buf) - 1
+        pairs = restarts = 0
+        usable = [0.0] * circ.num_pairs  # local time from which each pair may be used
+        touched = [0.0] * circ.num_pairs  # time each pair is decohered up to
+        round_next = 1  # blind OPT: the first tick of the next round
+        ref = 0.0
+        while True:  # an episode: memories empty at ref; usable and touched are written before use
+            k_last = max(0, math.ceil(ref / period - _TICK_EPS) - 1)  # before the first tick emitted at or after ref
+            steps = 0
+            slot_free = [0.0] * circ.max_live  # min-heap of slot release times
+            last_arrival = t_local = 0.0
+            check_floor = 0.0  # when every outcome so far has been checked
+            mismatch_resolve = math.inf
+            doomed = False  # a mismatch under measure_before_confirm filters the delivery
+            ref = None  # when the episode restarts, once known
+            start, dts = 0, []  # the entry this run began at, and the durations of its ops
+            for pc, (code, operands, fresh, _, keep, seed) in enumerate(program):
+                for p in fresh:  # acquire until the pair is stored at both nodes
+                    floor = heappop(slot_free)
+                    if base and check_floor > floor:
+                        floor = check_floor
+                    if blind:
+                        # The pair lands on its tick of the round. The step it joins
+                        # fires on its arrival, so t_local moves there even when float
+                        # rounding ends the previous step an ulp later.
+                        if pc == 0 and p == fresh[0]:
+                            k = round_next
+                            if log_lost is not None:  # the rounds photon loss dooms before this one
+                                while i > end:
+                                    buf, i = _refill(rng, buf, i), 0
+                                    end = len(buf) - 1
+                                skipped = int(math.log(max(buf[i], 1e-300)) / log_lost)
+                                i += 1
+                                if skipped:
+                                    restarts += skipped
+                                    k += skipped * span
+                                    if events is not None:
+                                        _event(events, (k - 1) * period + photon_delay, "AB", "rounds_filtered",
+                                               f"count={skipped} cause=loss")
+                            round_next = k + span
+                        else:
+                            k = k_last + stride  # a stride after the previous pair's tick
+                        t_local = a = k * period + photon_delay
+                    else:
+                        k = math.ceil((floor - photon_delay) / period - _TICK_EPS)  # first arrival at or after floor
+                        if k <= k_last:
+                            k = k_last + 1
+                        while True:  # the tick scan
+                            while i >= end:
+                                buf, i = _refill(rng, buf, i), 0
+                                end = len(buf) - 1
+                            got_a = buf[i] < p_photon
+                            got_b = buf[i + 1] < p_photon
+                            i += 2
+                            if got_a and got_b:
+                                break
+                            if not got_a and not got_b:
+                                k += 1
+                                continue
+                            a = k * period + photon_delay
+                            if events is not None:
+                                loser = "B" if got_a else "A"
+                                _event(events, a, loser, "photon_lost", f"tick={k}")
+                                _message(events, a, a + herald, loser, "herald_fail")
+                            if hold is not None:
+                                k_hold = math.ceil((a + hold - photon_delay) / period - _TICK_EPS)
+                                k = k_hold if k_hold > k + 1 else k + 1
+                            elif pc == 0 and p == fresh[0]:
+                                # OPT's first pair restarts in place; the slot floor 0.0 never binds
+                                restarts += 1
+                                k = max(1, math.ceil((a + herald) / period - _TICK_EPS))
+                            else:
+                                ref = a + herald
+                                break
+                        if ref is not None:
+                            break
+                        a = k * period + photon_delay
+                    k_last = k
+                    pairs += 1
+                    last_arrival = touched[p] = a
+                    usable[p] = a + lag
+                    if events is not None:
+                        _event(events, a, "AB", "pair_stored", f"pair={p}")
+                        _message(events, a, a + herald, "A", "herald_ok")
+                if ref is not None:
                     break
-                lane.pairs += 1
-                lane.last_arrival = lane.touched[p] = a
-                lane.usable[p] = a + lag
-                if events is not None:
-                    _event(events, a, "AB", "pair_stored", f"pair={p}")
-                    _message(events, a, a + herald, "A", "herald_ok")
-            if ref is None and code == _DELIVER:
-                # an untouched survivor is usable on arrival; every other pair
-                # arrived before the instruction that first touched it
-                t_local = max(lane.t_local, lane.last_arrival)
-                if mbc:
-                    completion = t_local
-                    if lane.doomed:
+                if code == _DELIVER:
+                    # an untouched survivor is usable on arrival; every other pair
+                    # arrived before the instruction that first touched it
+                    t_local = completion = max(t_local, last_arrival)
+                    if not mbc:
+                        completion = max(t_local, last_arrival + herald, check_floor)
+                        if events is not None:
+                            _message(events, t_local, t_local + herald, "A", "final_confirm")
+                    elif doomed:
                         # Delivered blind and filtered once the messages arrive;
                         # the round costs time but produces nothing.
-                        ref = completion
+                        ref = t_local
                         if events is not None:
-                            _event(events, completion, "AB", "filtered")
-                else:
-                    completion = max(t_local, lane.last_arrival + herald, lane.check_floor)
+                            _event(events, ref, "AB", "filtered")
+                        break
                     if events is not None:
-                        _message(events, t_local, t_local + herald, "A", "final_confirm")
-                if ref is None:
-                    if events is not None:
-                        _event(events, completion, "AB", "delivered", f"pair={survivor}")
-                    lane.t_local = completion
-                    lane.dts.append((completion - lane.touched[survivor],))
-                    return runs[start]
-            elif ref is None:
-                tau = lane.t_local
-                usable = lane.usable
+                        _event(events, completion, "AB", "delivered", f"pair={circ.survivor}")
+                    dts.append((completion - touched[circ.survivor],))
+                    state = yield runs[start], dts, None
+                    yield TrialResult(completion, state, pairs, steps, restarts)
+                    return
+                tau = t_local
                 for p in operands:
                     if usable[p] > tau:
                         tau = usable[p]
-                if tau >= lane.mismatch_resolve:
-                    ref = lane.mismatch_resolve  # the failure message crossed first
-            if ref is not None:
-                restart(lane, ref)  # the ops walked so far belonged to the old episode
-                start = 0
-                lane.dts = []
-                continue
-
-            if code == _STEP:
-                tau_end = tau + gate_time + measure_time
-            elif code == _GATE:
-                tau_end = tau + gate_time
-            elif code == _MEASURE:
-                tau_end = tau + measure_time
-            else:
-                tau_end = tau
-            touched = lane.touched
-            dts = [tau_end - touched[p] for p in operands]
-            lane.dts.append(dts)
-            for p in operands:
-                touched[p] = tau_end
-            lane.t_local = tau_end
-            if code == _STEP or code == _MEASURE:
+                if tau >= mismatch_resolve:
+                    ref = mismatch_resolve  # the failure message crossed first
+                    break
+                if code == _STEP:
+                    tau_end = tau + gate_time + measure_time
+                elif code == _GATE:
+                    tau_end = tau + gate_time
+                elif code == _MEASURE:
+                    tau_end = tau + measure_time
+                else:
+                    tau_end = tau
+                dts.append([tau_end - touched[p] for p in operands])
+                for p in operands:
+                    touched[p] = tau_end
+                t_local = tau_end
+                if code == _ROT or code == _GATE:  # no outcome: walk on
+                    continue
                 if seed:
-                    batch.store[seed][lane.row] = werner
-                lane.u = lane.uniforms()
-                return runs[start]
-            lane.pc += 1
+                    batch.store[seed][row] = werner
+                while i >= end:
+                    buf, i = _refill(rng, buf, i), 0
+                    end = len(buf) - 1
+                out_a, out_b = yield runs[start], dts, (buf[i], buf[i + 1])
+                i += 2
+                if code == _STEP:
+                    passed = out_a == out_b
+                    if events is not None:
+                        _event(events, tau_end, "AB", "purify_step", f"step={steps + 1} a={out_a:+d} b={out_b:+d}")
+                else:
+                    passed = (out_a == out_b) == keep
+                    if events is not None:
+                        _event(events, tau_end, "AB", "measure", f"pair={operands[0]} a={out_a:+d} b={out_b:+d}")
+                steps += 1
+                heappush(slot_free, tau_end)
+                check_floor = tau_end + herald
+                if events is not None:
+                    _message(events, tau_end, check_floor, "A", "purify_outcome", steps, out_a)
+                if not passed:
+                    if not mbc:
+                        ref = check_floor
+                        break
+                    doomed = True
+                    if not blind:  # the others abort once the outcome message crosses
+                        mismatch_resolve = min(mismatch_resolve, check_floor)
+                start, dts = pc + 1, []
+            restarts += 1
 
-    def settle(lane: _Lane, out_a: int, out_b: int) -> None:
-        """Book the outcome of the measurement at the lane's entry."""
-        code, operands, _, _, keep, _ = program[lane.pc]
-        p = operands[-1]
-        events = lane.events
-        tau_end = lane.t_local
-        if code == _STEP:
-            kept = out_a == out_b
-            if events is not None:
-                _event(events, tau_end, "AB", "purify_step", f"step={lane.steps + 1} a={out_a:+d} b={out_b:+d}")
-        else:
-            kept = (out_a == out_b) == keep
-            if events is not None:
-                _event(events, tau_end, "AB", "measure", f"pair={p} a={out_a:+d} b={out_b:+d}")
-        lane.steps += 1
-        heappush(lane.slot_free, tau_end)
-        check = lane.check_floor = tau_end + herald
-        if events is not None:
-            _message(events, tau_end, check, "A", "purify_outcome", lane.steps, out_a)
-        lane.pc += 1
-        if not kept:
-            if not mbc:
-                restart(lane, check)
-            else:
-                lane.doomed = True
-                if not blind:  # the others abort once the outcome message crosses
-                    lane.mismatch_resolve = min(lane.mismatch_resolve, check)
-
-    lanes = [_Lane(rng, events, circ.num_pairs, row) for row, (rng, events) in enumerate(zip(rngs, logs))]
-    for lane in lanes:
-        begin(lane, 0.0)
-    batch = _Batch(noise, werner, kept, len(lanes))
+    batch = _Batch(noise, werner, kept, len(rngs))
+    lanes = [trial(rng, events, row) for row, (rng, events) in enumerate(zip(rngs, logs))]
     results: list = [None] * len(lanes)
-    active = range(len(lanes))
-    while active:
-        groups: dict[int, list] = {}
-        for i in active:
-            ident = walk(lanes[i])
-            if ident in groups:
-                groups[ident].append(i)
-            else:
-                groups[ident] = [i]
-        for ident, members in groups.items():
+    groups = defaultdict(list)  # run id -> (row, durations, uniforms) of each lane that walked it
+    for row, lane in enumerate(lanes):
+        ident, dts, u = next(lane)
+        groups[ident].append((row, dts, u))
+    while groups:
+        current, groups = groups, defaultdict(list)
+        for ident, members in current.items():
+            rows, dts, us = zip(*members)
             ops = run_ops[ident]
-            code = ops[-1][0]
-            us = None if code == _DELIVER else [lanes[i].u for i in members]
-            outcome = batch.run(ops, np.array(members), [lanes[i].dts for i in members], us)
-            if code == _DELIVER:
-                for i, state in zip(members, outcome):
-                    lane = lanes[i]
-                    results[i] = TrialResult(lane.t_local, state, lane.pairs, lane.steps, lane.restarts)
-                    lane.buf = lane.rng = None
+            outcome = batch.run(ops, np.array(rows), dts, us)
+            if ops[-1][0] == _DELIVER:
+                for row, state in zip(rows, outcome):
+                    results[row] = lanes[row].send(state)
+                    lanes[row] = None  # frees its uniforms and generator
             else:
-                for i, a, b in zip(members, *outcome):
-                    settle(lanes[i], a, b)
-        active = [i for i in active if results[i] is None]
+                for row, a, b in zip(rows, *outcome):
+                    ident, dts, u = lanes[row].send((a, b))
+                    groups[ident].append((row, dts, u))
     return results
 
 

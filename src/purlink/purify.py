@@ -242,14 +242,14 @@ def parse_circuit(text: str) -> PurificationCircuit:
         if op == "PAIRS":
             if num_pairs is not None:
                 raise _fail(line_no, "duplicate PAIRS line")
-            if len(tokens) != 2 or not tokens[1].isdigit() or int(tokens[1]) < 1:
+            if len(tokens) != 2 or not tokens[1].isdecimal() or int(tokens[1]) < 1:
                 raise _fail(line_no, "expected: PAIRS <positive integer>")
             num_pairs = int(tokens[1])
             continue
         if num_pairs is None:
             raise _fail(line_no, "PAIRS must come before instructions")
         if op == "ROT":
-            if len(tokens) != 2 or not tokens[1].isdigit():
+            if len(tokens) != 2 or not tokens[1].isdecimal():
                 raise _fail(line_no, "expected: ROT <pair>")
             pair = int(tokens[1])
             touch(line_no, pair)
@@ -257,7 +257,7 @@ def parse_circuit(text: str) -> PurificationCircuit:
         elif op == "GATE":
             if len(tokens) != 4 or tokens[1] not in TWO_QUBIT_GATES:
                 raise _fail(line_no, "expected: GATE CNOT|CZ <control> <target>")
-            if not (tokens[2].isdigit() and tokens[3].isdigit()):
+            if not (tokens[2].isdecimal() and tokens[3].isdecimal()):
                 raise _fail(line_no, "gate pair indices must be integers")
             control, target = int(tokens[2]), int(tokens[3])
             if control == target:
@@ -272,7 +272,7 @@ def parse_circuit(text: str) -> PurificationCircuit:
                 or tokens[3] not in ("X", "Y", "Z")
                 or tokens[4] != "KEEP"
                 or tokens[5] not in ("equal", "unequal")
-                or not tokens[1].isdigit()
+                or not tokens[1].isdecimal()
             ):
                 raise _fail(
                     line_no, "expected: MEASURE <pair> BASIS X|Y|Z KEEP equal|unequal"

@@ -17,21 +17,50 @@ the tables.
 check_state asserts that a density matrix is physical, bell_diagonal reads
 its Bell-basis weights, and bell_recurrence_oracle is the closed-form
 noiseless recurrence for one pumping step on Bell-diagonal pairs.
+
+The tests share two helpers from here too: QueuedU, an rng that returns
+scripted uniforms, and packaged_circuit, which parses a circuit shipped
+with purlink.
 """
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from importlib import resources
 from itertools import count
 
 import numpy as np
 
 from purlink.channels import CNOT, TWO_QUBIT_GATES, ImpossibleOutcomeError, _damping_lambda, _dephasing_pz
-from purlink.purify import ROT_PAIR, Gate, Rot, StepOutcome
+from purlink.purify import ROT_PAIR, Gate, PurificationCircuit, Rot, StepOutcome, load_circuit
 from purlink.states import BELL_VECTORS, I2, PAULI_ORDER, PAULIS, BellCoeffs, to_pauli
 
 PAULI_PAIRS = [np.kron(PAULIS[a], PAULIS[b]) for a in PAULI_ORDER for b in PAULI_ORDER]
 SIGMA = np.array([PAULIS[a] for a in PAULI_ORDER])
+
+
+class QueuedU:
+    """Stands in for an rng, returning preset uniforms in order.
+
+    random(n) returns up to n of them, as the engine's prefetched blocks
+    accept; it raises once they run out, like random().
+    """
+
+    def __init__(self, *vals):
+        self._vals = list(vals)
+
+    def random(self, size=None):
+        if size is None:
+            return self._vals.pop(0)
+        if not self._vals:
+            raise IndexError("no uniforms left")
+        block, self._vals = self._vals[:size], self._vals[size:]
+        return np.array(block)
+
+
+def packaged_circuit(name: str) -> PurificationCircuit:
+    """The circuit purlink ships as circuits/<name>.circuit."""
+    return load_circuit(resources.files("purlink") / "circuits" / f"{name}.circuit")
 
 
 # --- Bell-diagonal algebra and state checks. ---

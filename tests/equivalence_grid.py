@@ -27,7 +27,9 @@ the packaged optimized5 circuit under BASE and HOPT, and a 2x2 heatmap,
 each with --events-log and at --threads 1 and 2. It prints every output
 (exit code, stdout, stderr, CSV, events log) that differs by a byte, with
 its diff, and exits 1 if any does.
-pytest does not collect this file.
+
+Both modes end with the line count of each checkout's src/purlink, as
+"src/purlink lines: A -> B". pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -43,6 +45,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+# pair 0 is gated with both 1 and 2 before either is measured, so three pairs
+# share the register at once
 THREE_PAIR = """PAIRS 3
 ROT 0
 ROT 1
@@ -52,6 +56,7 @@ GATE CNOT 0 2
 MEASURE 1 BASIS Z KEEP equal
 MEASURE 2 BASIS X KEEP equal
 """
+# pair 0 is measured alone, in a register of its own
 LONE_MEASURE = """PAIRS 2
 MEASURE 0 BASIS X KEEP equal
 """
@@ -219,6 +224,11 @@ def compare_cli(a: dict, b: dict) -> int:
     return 1 if differ else 0
 
 
+def src_lines(root: str) -> int:
+    """Lines of Python in ROOT/src/purlink, as wc -l counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in Path(root, "src", "purlink").rglob("*.py"))
+
+
 def main(argv: list[str]) -> int:
     if argv and argv[0] == "--dump":  # child: ROOT SEEDS BATCH OUT
         root, seeds, batch, out = argv[1:]
@@ -233,15 +243,18 @@ def main(argv: list[str]) -> int:
     args = parser.parse_args(argv)
     if args.cli:
         with tempfile.TemporaryDirectory() as tmp:
-            return compare_cli(*(run_cli(root, Path(tmp)) for root in (args.root_a, args.root_b)))
-    grids = []
-    with tempfile.TemporaryDirectory() as tmp:
-        for n, (root, batch) in enumerate(((args.root_a, False), (args.root_b, args.batch))):
-            out = Path(tmp, f"grid{n}.pkl")
-            subprocess.run([sys.executable, __file__, "--dump", root, str(args.seeds), "1" if batch else "0",
-                            str(out)], check=True)
-            grids.append(pickle.loads(out.read_bytes()))
-    return compare(*grids)
+            status = compare_cli(*(run_cli(root, Path(tmp)) for root in (args.root_a, args.root_b)))
+    else:
+        grids = []
+        with tempfile.TemporaryDirectory() as tmp:
+            for n, (root, batch) in enumerate(((args.root_a, False), (args.root_b, args.batch))):
+                out = Path(tmp, f"grid{n}.pkl")
+                subprocess.run([sys.executable, __file__, "--dump", root, str(args.seeds), "1" if batch else "0",
+                                str(out)], check=True)
+                grids.append(pickle.loads(out.read_bytes()))
+        status = compare(*grids)
+    print(f"src/purlink lines: {src_lines(args.root_a)} -> {src_lines(args.root_b)}")
+    return status
 
 
 if __name__ == "__main__":

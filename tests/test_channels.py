@@ -25,6 +25,7 @@ from purlink.states import fidelity, from_pauli, make_werner, to_pauli
 
 from dense_oracle import (
     PairRegister,
+    QueuedU,
     amplitude_damp,
     bilateral_gate,
     decohere,
@@ -46,16 +47,6 @@ RNG = np.random.default_rng(77)
 PAIR0 = ((0, "A"), (0, "B"))
 HI = 1.0 - 1e-12
 BRANCH_UNIFORMS = ((0.0, 0.0), (0.0, HI), (HI, 0.0), (HI, HI))  # (+,+), (+,-), (-,+), (-,-)
-
-
-class QueuedU:
-    """Stands in for an rng, returning preset uniforms in order."""
-
-    def __init__(self, *vals):
-        self._vals = list(vals)
-
-    def random(self):
-        return self._vals.pop(0)
 
 
 def decohere_one(r, pair, dt, noise):

@@ -137,6 +137,16 @@ def test_missing_circuit_file(tmp_path):
     assert "circuit" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "line", ["PAIRS \u00b2", "ROT \u00b2", "GATE CNOT 0 \u00b2", "MEASURE \u00b2 BASIS Z KEEP equal"]
+)
+def test_non_decimal_circuit_digits_are_config_errors(tmp_path, capsys, line):
+    text = line + "\n" if line.startswith("PAIRS") else "PAIRS 2\n" + line + "\n"
+    (tmp_path / "bad.circuit").write_text(text, encoding="utf-8")
+    assert main(["simulate", cfg_file(tmp_path, FAST + "circuit = bad.circuit\n")]) == 2
+    assert f"line {text.count(chr(10))}:" in capsys.readouterr().err
+
+
 def test_n_steps_sweep_rejected_for_circuit_scheme(tmp_path):
     (tmp_path / "d.circuit").write_text(DEJMPS_TEXT)
     text = MINIMAL + "circuit = d.circuit\nsweep_param = n_steps\nsweep_values = 0, 1\n"
@@ -283,19 +293,30 @@ def test_out_of_domain_sweep_values_are_config_errors(tmp_path, capsys, axes, ke
 
 
 @pytest.mark.parametrize(
-    "link",
+    "link,keys",
     [
         # p = 0.056 per photon: OPT's episode of six pairs needs ~1.7e9 restarts
-        "kind = ground\nd_km = 50\nmu_hz = 1e9\nf0 = 0.9\nalpha_db_per_km = 0.5\nn_steps = 5\n",
+        (
+            "kind = ground\nd_km = 50\nmu_hz = 1e9\nf0 = 0.9\nalpha_db_per_km = 0.5\nn_steps = 5\n",
+            ("d_km", "alpha_db_per_km"),
+        ),
         # p = 1e-100: not one pair in any feasible number of ticks
-        "kind = ground\nd_km = 1e4\nmu_hz = 1e9\nf0 = 0.9\n",
+        ("kind = ground\nd_km = 1e4\nmu_hz = 1e9\nf0 = 0.9\n", ("d_km", "alpha_db_per_km")),
+        # the source period 1/mu is inf
+        ("kind = ground\nd_km = 20\nmu_hz = 1e-320\nf0 = 0.9\n", ("mu_hz", "c_fiber_km_s")),
+        # the period is finite, but a second tick is not
+        ("kind = ground\nd_km = 20\nmu_hz = 1e-308\nf0 = 0.9\n", ("mu_hz", "c_fiber_km_s")),
+        # the herald d / c is inf
+        ("kind = ground\nd_km = 20\nmu_hz = 1e6\nf0 = 0.9\nc_fiber_km_s = 1e-310\n", ("mu_hz", "c_fiber_km_s")),
+        # the herald is a finite 2e301 s, but restarts overflow it
+        ("kind = ground\nd_km = 20\nmu_hz = 1e6\nf0 = 0.9\nc_fiber_km_s = 1e-300\n", ("mu_hz", "c_fiber_km_s")),
     ],
-    ids=["opt_restarts", "no_photon"],
+    ids=["opt_restarts", "no_photon", "infinite_period", "period_overflows", "infinite_herald", "herald_overflows"],
 )
-def test_links_that_cannot_deliver_are_config_errors(tmp_path, capsys, link):
+def test_links_that_cannot_deliver_are_config_errors(tmp_path, capsys, link, keys):
     assert main(["simulate", cfg_file(tmp_path, link)]) == 2
     err = capsys.readouterr().err
-    assert "d_km" in err and "alpha_db_per_km" in err
+    assert all(key in err for key in keys)
 
 
 def test_delivery_bound_follows_protocol_and_grid(tmp_path, capsys):

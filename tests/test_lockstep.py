@@ -6,10 +6,9 @@ generator's uniforms from prefetched blocks, so lane i of any batch must
 equal run_trial on the same seed, bit for bit.
 """
 
-from importlib import resources
-
 import numpy as np
 import pytest
+from dense_oracle import packaged_circuit
 from equivalence_grid import LONE_MEASURE, THREE_PAIR
 
 from purlink import protocols
@@ -25,16 +24,12 @@ LINKS = {
     "lossy": LinkConfig(GROUND, d=20.0, mu=1e6, f0=0.9),
     "timed": LinkConfig(GROUND, d=20.0, mu=1e6, f0=0.9, gate_time=1e-6, measure_time=5e-7),
 }
-def packaged(name):
-    return CircuitScheme(parse_circuit((resources.files("purlink") / "circuits" / f"{name}.circuit").read_text()))
-
-
 SCHEMES = {
     "pump0": lambda: Pumping(0),
     "pump2": lambda: Pumping(2),
     "pump5": lambda: Pumping(5),
-    "dejmps": lambda: packaged("dejmps"),
-    "optimized5": lambda: packaged("optimized5"),
+    "dejmps": lambda: CircuitScheme(packaged_circuit("dejmps")),
+    "optimized5": lambda: CircuitScheme(packaged_circuit("optimized5")),
     "three_pair": lambda: CircuitScheme(parse_circuit(THREE_PAIR)),
     "lone_measure": lambda: CircuitScheme(parse_circuit(LONE_MEASURE)),
 }
@@ -87,7 +82,7 @@ def test_lanes_draw_only_through_random():
     # the same trials
     link = LINKS["timed"]
     for kind in (ProtocolKind("BASE"), ProtocolKind("OPT"), ProtocolKind("OPT", measure_before_confirm=True)):
-        for scheme in (Pumping(3), packaged("optimized5")):
+        for scheme in (Pumping(3), CircuitScheme(packaged_circuit("optimized5"))):
             wrapped = run_trials(kind, scheme, link, NOISE, [OnlyRandom((62, i)) for i in range(20)])
             for i, res in enumerate(wrapped):
                 assert same(res, run_trial(kind, scheme, link, NOISE, np.random.default_rng((62, i))))
@@ -137,7 +132,9 @@ def test_estimate_reports_pairs_and_restarts_per_delivery():
 
 
 def test_batch_lanes_is_bounded_by_the_element_budget():
-    for scheme in (Pumping(0), Pumping(5), packaged("optimized5"), CircuitScheme(parse_circuit(THREE_PAIR))):
+    for scheme in (
+        Pumping(0), Pumping(5), CircuitScheme(packaged_circuit("optimized5")), CircuitScheme(parse_circuit(THREE_PAIR))
+    ):
         lanes = protocols.batch_lanes(ProtocolKind("BASE"), scheme)
         assert 1 <= lanes <= protocols._BATCH_ELEMENTS // protocols._MAX_BLOCK
     # a wider register means fewer lanes per batch
@@ -178,7 +175,7 @@ class RecordingRows:
 def test_store_holds_only_the_registers_compile_keeps(name, mbc, monkeypatch):
     kind = ProtocolKind(name, measure_before_confirm=mbc)
     schemes = [Pumping(n) for n in range(6)] + [
-        packaged("dejmps"), packaged("optimized5"),
+        CircuitScheme(packaged_circuit("dejmps")), CircuitScheme(packaged_circuit("optimized5")),
         CircuitScheme(parse_circuit(THREE_PAIR)), CircuitScheme(parse_circuit(LONE_MEASURE)),
     ]
     written, stores = set(), []
@@ -201,7 +198,7 @@ def test_store_holds_only_the_registers_compile_keeps(name, mbc, monkeypatch):
         (store,) = stores
         stored = sum(dict.__getitem__(store, key).shape[1] for key in store)
         assert lanes * (protocols._MAX_BLOCK + stored + in_hand) <= protocols._BATCH_ELEMENTS, (name, mbc, scheme)
-    assert protocols.batch_lanes(kind, packaged("optimized5")) >= 150
+    assert protocols.batch_lanes(kind, CircuitScheme(packaged_circuit("optimized5"))) >= 150
 
 
 @pytest.mark.parametrize("mbc", [False, True])

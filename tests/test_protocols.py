@@ -1,5 +1,4 @@
 import math
-from importlib import resources
 
 import numpy as np
 import pytest
@@ -19,7 +18,8 @@ from purlink.protocols import (
 from purlink.purify import parse_circuit
 from purlink.states import fidelity, make_werner
 
-from dense_oracle import check_state, run_circuit
+from dense_oracle import QueuedU, check_state, packaged_circuit, run_circuit
+from equivalence_grid import LONE_MEASURE, THREE_PAIR
 
 INF = math.inf
 NOISELESS = NoiseParams(p_g=1.0, p_m=1.0, t1=INF, t2=INF)
@@ -36,36 +36,11 @@ def ground(d=20.0, mu=1e6, f0=0.9, **kw):
     return LinkConfig(GROUND, d=d, mu=mu, f0=f0, **kw)
 
 
-def packaged_circuit(name):
-    return parse_circuit((resources.files("purlink") / "circuits" / f"{name}.circuit").read_text())
-
-
-def dejmps_circuit():
-    return packaged_circuit("dejmps")
-
-
-# pair 0 is gated with both 1 and 2 before either is measured, so three pairs
-# share the register at once
-THREE_PAIR_TEXT = """PAIRS 3
-ROT 0
-ROT 1
-ROT 2
-GATE CNOT 0 1
-GATE CNOT 0 2
-MEASURE 1 BASIS Z KEEP equal
-MEASURE 2 BASIS X KEEP equal
-"""
-
-# pair 0 is measured alone, in a register of its own
-LONE_MEASURE_TEXT = """PAIRS 2
-MEASURE 0 BASIS X KEEP equal
-"""
-
 CIRCUITS = {
-    "dejmps": dejmps_circuit,
+    "dejmps": lambda: packaged_circuit("dejmps"),
     "optimized5": lambda: packaged_circuit("optimized5"),
-    "three_pair": lambda: parse_circuit(THREE_PAIR_TEXT),
-    "lone_measure": lambda: parse_circuit(LONE_MEASURE_TEXT),
+    "three_pair": lambda: parse_circuit(THREE_PAIR),
+    "lone_measure": lambda: parse_circuit(LONE_MEASURE),
 }
 
 
@@ -123,31 +98,12 @@ def test_nop_lossless_exact():
 def test_nop_ignores_scheme():
     link = ground(mu=1e3, alpha_f=0.0)
     b = run_trial(NOP, Pumping(0), link, NOISELESS, np.random.default_rng(1))
-    for scheme in (Pumping(4), CircuitScheme(dejmps_circuit())):
+    for scheme in (Pumping(4), CircuitScheme(packaged_circuit("dejmps"))):
         a = run_trial(NOP, scheme, link, NOISELESS, np.random.default_rng(1))
         assert a.completion_time == b.completion_time
         assert a.steps_completed == 0
         assert a.pairs_consumed == 1
         assert np.array_equal(a.output_state, b.output_state)
-
-
-class QueuedU:
-    """Stands in for an rng, returning preset uniforms in order.
-
-    random(n) returns up to n of them, as the engine's prefetched blocks
-    accept; it raises once they run out, like random().
-    """
-
-    def __init__(self, *vals):
-        self._vals = list(vals)
-
-    def random(self, size=None):
-        if size is None:
-            return self._vals.pop(0)
-        if not self._vals:
-            raise IndexError("no uniforms left")
-        block, self._vals = self._vals[:size], self._vals[size:]
-        return np.array(block)
 
 
 def test_one_sided_loss_holds_slot_only_for_heralded_purification():
@@ -238,7 +194,7 @@ def test_pumping_one_step_equals_dejmps_circuit():
     # timelines when fed the same instructions and seeds; without memory
     # decoherence the states coincide exactly too
     link = ground(gate_time=1e-6, measure_time=5e-7)
-    circ = CircuitScheme(dejmps_circuit())
+    circ = CircuitScheme(packaged_circuit("dejmps"))
     noise = NoiseParams(p_g=0.99, p_m=0.99, t1=INF, t2=INF)
     for kind in (BASE, HOPT, OPT):
         for i in range(150):
@@ -257,7 +213,7 @@ def test_pumping_vs_circuit_under_decoherence():
     # do not commute with dephasing, so states may drift a little, but the
     # clocks and the accounting must still agree exactly
     link = ground(gate_time=1e-6, measure_time=5e-7)
-    circ = CircuitScheme(dejmps_circuit())
+    circ = CircuitScheme(packaged_circuit("dejmps"))
     for kind in (BASE, HOPT, OPT):
         for i in range(100):
             seed = (78, i)

@@ -22,6 +22,7 @@ from purlink.states import (
 )
 
 from dense_oracle import (
+    QueuedU,
     bell_diagonal,
     bell_recurrence_oracle,
     check_state,
@@ -33,16 +34,6 @@ from dense_oracle import (
 NOISELESS = NoiseParams(p_g=1.0, p_m=1.0, t1=math.inf, t2=math.inf)
 HI = 1.0 - 1e-12
 RNG = np.random.default_rng(314159)
-
-
-class QueuedU:
-    """Stands in for an rng, returning preset thresholds in order."""
-
-    def __init__(self, *vals):
-        self._vals = list(vals)
-
-    def random(self):
-        return self._vals.pop(0)
 
 
 def forced_branch(main, sac, ua, ub, noise=NOISELESS):
@@ -337,6 +328,11 @@ def test_max_live_pairs_constant():
         ("PAIRS 2\nPAIRS 2\n", "line 2: duplicate PAIRS"),
         ("PAIRS 0\n", "line 1: expected: PAIRS"),
         ("PAIRS two\n", "line 1: expected: PAIRS"),
+        # str.isdigit accepts superscript digits, which int() rejects
+        ("PAIRS \u00b2\n", "line 1: expected: PAIRS"),
+        ("PAIRS 2\nROT \u00b2\n", "line 2: expected: ROT"),
+        ("PAIRS 2\nGATE CNOT 0 \u00b2\n", "line 2: gate pair indices must be integers"),
+        ("PAIRS 2\nMEASURE \u00b2 BASIS Z KEEP equal\n", "line 2: expected: MEASURE"),
         ("PAIRS 2\nROT 5\n", "line 2: pair index 5 out of range"),
         ("PAIRS 2\nROT 1\n", "line 2: pair 1 referenced before pair 0"),
         ("PAIRS 2\nFLIP 0\n", "line 2: unknown instruction 'FLIP'"),

@@ -54,6 +54,9 @@ def ci_halfwidth(samples) -> float:
     arr = np.asarray(samples, dtype=float)
     if arr.size < 2:
         raise ValueError("confidence interval needs at least 2 samples")
+    scale = max(float(arr.max()), -float(arr.min()))  # the largest magnitude
+    if scale > 1e150:  # squared deviations would overflow: rescale to at most 1
+        return scale * ci_halfwidth(arr / scale)
     return 1.96 * float(np.std(arr, ddof=1)) / math.sqrt(arr.size)
 
 

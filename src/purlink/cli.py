@@ -12,15 +12,12 @@ import atexit
 import gc
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .analysis import Estimates, estimate
-from .config import (
-    Config, ConfigError, check_delivery_bound, check_seed, check_trial_budget, grid_points, load_config,
-)
+from .config import Config, ConfigError, grid_points, load_config
 from .protocols import PROTOCOL_NAMES, ProtocolKind, Pumping, run_trial
 from .purify import CircuitError
 
@@ -29,9 +26,9 @@ HEATMAP_HEADER = "f0,t2_s,best_protocol,best_skr,skr_nop,skr_base,skr_hopt,skr_o
 
 _EVENT_TRIAL_INDEX = 2**62  # far outside any reachable trial index
 
-# Each pool worker runs single-threaded BLAS unless the caller chose otherwise:
-# a full BLAS thread pool per worker oversubscribes the cores.
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# The heatmap scores QKD operation: every protocol measures before the final
+# confirmation, so delivery is filtered, never awaited. These replace the file's keys.
+_HEATMAP_KEYS = {"protocols": ",".join(PROTOCOL_NAMES), "measure_before_confirm": "true"}
 
 # Interpreter shutdown runs full collections over every object numpy and
 # purlink left alive, which costs a short command more than its cells do.
@@ -68,18 +65,18 @@ def _cell_seed(cfg: Config, name: str, cell_idx: int) -> tuple[int, int, int]:
     return (cfg.seed, PROTOCOL_NAMES.index(name), cell_idx)
 
 
-def _run_task(task: tuple[Config, str, int, bool]) -> Estimates:
-    point, name, cell_idx, mbc = task
+def _run_task(task: tuple[Config, str, int]) -> Estimates:
+    point, name, cell_idx = task
     return estimate(
-        ProtocolKind(name, measure_before_confirm=mbc), point.scheme, point.link, point.noise,
+        ProtocolKind(name, point.measure_before_confirm), point.scheme, point.link, point.noise,
         point.trials_min, _cell_seed(point, name, cell_idx),
         ci_target=point.ci_target, max_trials=point.max_trials, skf_mode=point.skf_mode,
     )
 
 
-def _estimate_grid(points: list[Config], names, mbc: bool, threads: int) -> list[list[Estimates]]:
+def _estimate_grid(points: list[Config], names, threads: int) -> list[list[Estimates]]:
     """One row per grid point, holding the estimate of each named protocol."""
-    tasks = [(point, name, idx, mbc) for idx, point in enumerate(points) for name in names]
+    tasks = [(point, name, idx) for idx, point in enumerate(points) for name in names]
     # no more workers than tasks or cores: each one is a fresh interpreter
     workers = min(threads, len(tasks), os.cpu_count() or 1)
     if workers <= 1:
@@ -89,26 +86,19 @@ def _estimate_grid(points: list[Config], names, mbc: bool, threads: int) -> list
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        # Workers are spawned, not forked, so that their numpy reads the
-        # thread variables at import; a forked worker keeps the parent's BLAS pool.
-        unset = [v for v in _BLAS_THREAD_VARS if v not in os.environ]
-        os.environ.update({v: "1" for v in unset})
-        try:
-            context = multiprocessing.get_context("spawn")
-            with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-                flat = list(pool.map(_run_task, tasks))
-        finally:
-            for v in unset:
-                del os.environ[v]
+        # spawned, not forked: fork would copy a process already running numpy's BLAS threads
+        context = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
+            flat = list(pool.map(_run_task, tasks))
     n = len(names)
     return [flat[i : i + n] for i in range(0, len(flat), n)]
 
 
-def _write_events_log(path: str, cfg: Config, mbc: bool) -> None:
+def _write_events_log(path: str, cfg: Config) -> None:
     """One fully traced extra trial per protocol, appended per section."""
     lines: list[str] = []
     for name in cfg.protocols:
-        kind = ProtocolKind(name, measure_before_confirm=mbc)
+        kind = ProtocolKind(name, measure_before_confirm=cfg.measure_before_confirm)
         events: list[str] = []
         rng_seed = (*_cell_seed(cfg, name, 0), _EVENT_TRIAL_INDEX)
         run_trial(kind, cfg.scheme, cfg.link, cfg.noise,
@@ -118,19 +108,10 @@ def _write_events_log(path: str, cfg: Config, mbc: bool) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _apply_flags(cfg: Config, args) -> Config:
-    flags = {k: getattr(args, k) for k in ("seed", "trials_min", "ci_target", "max_trials")}
-    cfg = replace(cfg, **{k: v for k, v in flags.items() if v is not None})
-    check_trial_budget(cfg.trials_min, cfg.ci_target, cfg.max_trials)
-    check_seed(cfg.seed)
-    return cfg
-
-
-def cmd_simulate(args) -> int:
-    cfg = _apply_flags(load_config(args.config), args)
+def cmd_simulate(cfg: Config, args) -> None:
     if cfg.axes:
         raise ConfigError("simulate takes no sweep axes; use the sweep command")
-    (results,) = _estimate_grid([cfg], cfg.protocols, cfg.measure_before_confirm, args.threads)
+    (results,) = _estimate_grid([cfg], cfg.protocols, args.threads)
     print("protocol fidelity fidelity_ci rate_per_s rate_ci skr_bits_per_s n_trials converged")
     for name, est in zip(cfg.protocols, results):
         print(
@@ -138,18 +119,14 @@ def cmd_simulate(args) -> int:
             f"{_fmt(est.rate)} {_fmt(est.ci_halfwidth_rate)} {_fmt(est.skr)} "
             f"{est.n_trials} {'yes' if est.converged else 'no'}"
         )
-    if args.events_log:
-        _write_events_log(args.events_log, cfg, cfg.measure_before_confirm)
-    return 0
 
 
-def cmd_sweep(args) -> int:
-    cfg = _apply_flags(load_config(args.config), args)
+def cmd_sweep(cfg: Config, args) -> None:
     if not cfg.axes:
         raise ConfigError("sweep requires at least 'sweep_param' and 'sweep_values'")
     points = grid_points(cfg)
     names = [n for n in PROTOCOL_NAMES if n in cfg.protocols]
-    rows = _estimate_grid(points, names, cfg.measure_before_confirm, args.threads)
+    rows = _estimate_grid(points, names, args.threads)
     lines = [SWEEP_HEADER]
     for point, row in zip(points, rows):
         for name, est in zip(names, row):
@@ -168,24 +145,13 @@ def cmd_sweep(args) -> int:
                 str(est.n_trials),
             )))
     Path(args.out_csv).write_text("\n".join(lines) + "\n")
-    if args.events_log:
-        _write_events_log(args.events_log, points[0], cfg.measure_before_confirm)
-    return 0
 
 
-def cmd_heatmap(args) -> int:
-    cfg = _apply_flags(load_config(args.config), args)
-    axis_names = tuple(name for name, _ in cfg.axes)
-    if axis_names != ("f0", "t2_s"):
-        raise ConfigError(
-            "heatmap requires exactly sweep_param = f0 and sweep_param2 = t2_s"
-        )
+def cmd_heatmap(cfg: Config, args) -> None:
+    if tuple(name for name, _ in cfg.axes) != ("f0", "t2_s"):
+        raise ConfigError("heatmap requires exactly sweep_param = f0 and sweep_param2 = t2_s")
     points = grid_points(cfg)
-    # The heatmap scores QKD operation: every protocol measures before the
-    # final confirmation, so delivery is filtered, never awaited.
-    for point in points:
-        check_delivery_bound(point, PROTOCOL_NAMES, True)
-    rows = _estimate_grid(points, PROTOCOL_NAMES, True, args.threads)
+    rows = _estimate_grid(points, PROTOCOL_NAMES, args.threads)
     lines = [HEATMAP_HEADER]
     for point, row in zip(points, rows):
         skrs = [est.skr for est in row]
@@ -202,9 +168,6 @@ def cmd_heatmap(args) -> int:
             *(_fmt(s) for s in skrs),
         )))
     Path(args.out_csv).write_text("\n".join(lines) + "\n")
-    if args.events_log:
-        _write_events_log(args.events_log, points[0], True)
-    return 0
 
 
 class _Parser(argparse.ArgumentParser):
@@ -246,8 +209,17 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # flags are raw config values: str() of an int or float parses back exactly
+    flags = {k: getattr(args, k) for k in ("seed", "trials_min", "ci_target", "max_trials")}
+    overrides = {k: str(v) for k, v in flags.items() if v is not None}
+    if args.command == "heatmap":
+        overrides.update(_HEATMAP_KEYS)
     try:
-        return args.func(args)
+        cfg = load_config(args.config, overrides)
+        args.func(cfg, args)
+        if args.events_log:
+            _write_events_log(args.events_log, grid_points(cfg)[0])
+        return 0
     except (ConfigError, CircuitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

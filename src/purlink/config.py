@@ -108,11 +108,15 @@ _ALL_KEYS = _FLOAT_KEYS | _INT_KEYS | _BOOL_KEYS | _STR_KEYS
 _REQUIRED = ("kind", "d_km", "mu_hz", "f0")
 
 
-def parse_config(text: str, base_dir: Union[str, Path, None] = None) -> Config:
+def parse_config(
+    text: str, base_dir: Union[str, Path, None] = None, overrides: Optional[dict[str, str]] = None
+) -> Config:
     """Parse and validate config text into a Config.
 
     Relative circuit paths resolve against base_dir (the config file's
-    directory when loaded via load_config).
+    directory when loaded via load_config). overrides maps config keys to
+    raw values that replace the file's before anything is checked; the CLI
+    passes its flags and the heatmap's forced settings this way.
     """
     raw: dict[str, str] = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
@@ -130,6 +134,7 @@ def parse_config(text: str, base_dir: Union[str, Path, None] = None) -> Config:
         if not value:
             raise ConfigError(f"line {line_no}: empty value for '{key}'")
         raw[key] = value
+    raw.update(overrides or {})
 
     for key in _REQUIRED:
         if key not in raw:
@@ -192,11 +197,17 @@ def parse_config(text: str, base_dir: Union[str, Path, None] = None) -> Config:
         )
 
     trials_min = take_int("trials_min", 10_000)
+    if trials_min < 100:
+        raise ConfigError("invalid value for 'trials_min': must be at least 100")
     ci_target = _parse_float("ci_target", raw["ci_target"]) if "ci_target" in raw else 0.03
+    if ci_target <= 0:
+        raise ConfigError("invalid value for 'ci_target': must be positive and finite")
     max_trials = take_int("max_trials", 0) if "max_trials" in raw else None
-    check_trial_budget(trials_min, ci_target, max_trials)
+    if max_trials is not None and max_trials < trials_min:
+        raise ConfigError("invalid value for 'max_trials': must be at least trials_min")
     seed = take_int("seed", 0)
-    check_seed(seed)
+    if seed < 0:  # numpy's generators take no negative seed
+        raise ConfigError("invalid value for 'seed': must be non-negative")
 
     cfg = Config(
         link=link,
@@ -240,7 +251,7 @@ def parse_config(text: str, base_dir: Union[str, Path, None] = None) -> Config:
         raise ConfigError("sweep_param and sweep_param2 must differ")
     cfg = replace(cfg, axes=tuple(axes))
     for point in grid_points(cfg):
-        check_delivery_bound(point, cfg.protocols, cfg.measure_before_confirm)
+        check_delivery_bound(point)
     return cfg
 
 
@@ -252,8 +263,8 @@ def grid_points(cfg: Config) -> list[Config]:
     return points
 
 
-def check_delivery_bound(cfg: Config, protocols: tuple[str, ...], mbc: bool) -> None:
-    """Reject a link whose deliveries need more than MAX_DELIVERY_TICKS ticks.
+def check_delivery_bound(cfg: Config) -> None:
+    """Reject a grid point whose deliveries need more than MAX_DELIVERY_TICKS ticks.
 
     With per-photon survival p, storing one pair takes 1/p^2 source ticks on
     average, so a delivery from N pairs takes at least N/p^2 (raw delivery
@@ -261,11 +272,12 @@ def check_delivery_bound(cfg: Config, protocols: tuple[str, ...], mbc: bool) -> 
     tick on which any photon arrives brings both with probability p/(2-p),
     so it also needs at least ((2-p)/p)^N ticks, unless it acquires blind
     and skips lost rounds in one draw. N and blindness are what
-    protocols.plan runs.
+    protocols.plan runs for cfg's protocols and measure_before_confirm.
 
     The engine counts time in source ticks, so MAX_DELIVERY_TICKS source
     periods must be a finite time, and neither the photon delay nor the
-    herald delay may span more periods; a 20 km herald at 1 GHz spans 1e5.
+    herald delay nor a gate plus a measurement may span more periods; a
+    20 km herald at 1 GHz spans 1e5.
     """
     period, photon_delay, herald = link_delays(cfg.link)
     clock = MAX_DELIVERY_TICKS * period
@@ -278,11 +290,18 @@ def check_delivery_bound(cfg: Config, protocols: tuple[str, ...], mbc: bool) -> 
             f"of {period:.3g} s and delays of {photon_delay:.3g} and {herald:.3g} s, but "
             f"{MAX_DELIVERY_TICKS:.0e} periods must be finite and span both delays"
         )
+    ops = cfg.link.gate_time + cfg.link.measure_time
+    if not (math.isfinite(ops) and ops <= clock):
+        raise ConfigError(
+            f"local operations do not fit the source clock: gate_time_s = {cfg.link.gate_time!r} and "
+            f"measure_time_s = {cfg.link.measure_time!r} take {ops:.3g} s, but {MAX_DELIVERY_TICKS:.0e} "
+            f"periods of {period:.3g} s must span them"
+        )
     p = per_photon_survival(cfg.link)
     log_p = math.log10(p) if p > 0.0 else -math.inf
     log_ticks = -math.inf
-    for name in protocols:
-        kind, circ, blind = plan(ProtocolKind(name, mbc), cfg.scheme)
+    for name in cfg.protocols:
+        kind, circ, blind = plan(ProtocolKind(name, cfg.measure_before_confirm), cfg.scheme)
         n = circ.num_pairs
         log_ticks = max(log_ticks, math.log10(n) - 2.0 * log_p)
         if kind.name == "OPT" and not blind:
@@ -299,29 +318,13 @@ def check_delivery_bound(cfg: Config, protocols: tuple[str, ...], mbc: bool) -> 
         )
 
 
-def check_trial_budget(trials_min: int, ci_target: float, max_trials: Optional[int]) -> None:
-    """Reject a trial budget the estimator cannot honour, naming the key."""
-    if trials_min < 100:
-        raise ConfigError("invalid value for 'trials_min': must be at least 100")
-    if not 0 < ci_target < math.inf:
-        raise ConfigError("invalid value for 'ci_target': must be positive and finite")
-    if max_trials is not None and max_trials < trials_min:
-        raise ConfigError("invalid value for 'max_trials': must be at least trials_min")
-
-
-def check_seed(seed: int) -> None:
-    """Reject a seed that numpy's generators cannot take, naming the key."""
-    if seed < 0:
-        raise ConfigError("invalid value for 'seed': must be non-negative")
-
-
-def load_config(path: Union[str, Path]) -> Config:
+def load_config(path: Union[str, Path], overrides: Optional[dict[str, str]] = None) -> Config:
     p = Path(path)
     try:
         text = p.read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
-    return parse_config(text, base_dir=p.parent)
+    return parse_config(text, base_dir=p.parent, overrides=overrides)
 
 
 def apply_axis(cfg: Config, param: str, value: float) -> Config:

@@ -24,9 +24,12 @@ raised where the other did not.
 compares the CLI instead: each checkout runs, as `python -m purlink` in
 fresh interpreters, a sweep over n_steps 1, 3, 5 at 1 GHz, a simulate of
 the packaged optimized5 circuit under BASE and HOPT, and a 2x2 heatmap,
-each with --events-log and at --threads 1 and 2. It prints every output
-(exit code, stdout, stderr, CSV, events log) that differs by a byte, with
-its diff, and exits 1 if any does.
+each with --events-log and at --threads 1 and 2. Each run overrides the
+file's trial budget with --trials-min, --max-trials and --ci-target, and
+one more simulate is given --trials-min 50, which makes its config invalid,
+so that an error exit and its message are compared too. It prints every
+output (exit code, stdout, stderr, CSV, events log) that differs by a byte,
+with its diff, and exits 1 if any does.
 
 Both modes end with the line count of each checkout's src/purlink, as
 "src/purlink lines: A -> B". pytest does not collect this file.
@@ -82,19 +85,20 @@ t1_s = 360
 trials_min = 100
 max_trials = 100
 """
-CLI_RUNS = {  # name: (command, config lines); {circuit} is the checkout's optimized5
+CLI_SIMULATE = """d_km = 20
+mu_hz = 1e9
+t2_s = 0.01
+circuit = {circuit}
+protocols = BASE,HOPT
+"""
+CLI_RUNS = {  # name: (command, config lines, flags); {circuit} is the checkout's optimized5
     "sweep": ("sweep", """d_km = 20
 mu_hz = 1e9
 t2_s = 1e-3
 sweep_param = n_steps
 sweep_values = 1, 3, 5
-"""),
-    "simulate": ("simulate", """d_km = 20
-mu_hz = 1e9
-t2_s = 0.01
-circuit = {circuit}
-protocols = BASE,HOPT
-"""),
+""", ("--trials-min", "120", "--max-trials", "150", "--ci-target", "0.05")),
+    "simulate": ("simulate", CLI_SIMULATE, ("--trials-min", "110", "--max-trials", "130", "--ci-target", "0.02")),
     "heatmap": ("heatmap", """d_km = 20
 mu_hz = 1e6
 n_steps = 1
@@ -102,7 +106,8 @@ sweep_param = f0
 sweep_values = 0.85, 0.9
 sweep_param2 = t2_s
 sweep_values2 = 0.001, 0.01
-"""),
+""", ("--trials-min", "105", "--max-trials", "140", "--ci-target", "0.1")),
+    "invalid_flag": ("simulate", CLI_SIMULATE, ("--trials-min", "50")),
 }
 
 
@@ -191,12 +196,12 @@ def run_cli(root: str, work: Path) -> dict:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH")))))
     circuit = src / "purlink" / "circuits" / "optimized5.circuit"
     out = {}
-    for run, (command, lines) in CLI_RUNS.items():
+    for run, (command, lines, flags) in CLI_RUNS.items():
         Path(work, f"{run}.cfg").write_text(CLI_COMMON + lines.format(circuit=circuit))
         files = [] if command == "simulate" else [f"{run}.csv"]
         for threads in (1, 2):
             done = subprocess.run(
-                [sys.executable, "-m", "purlink", command, f"{run}.cfg", *files, "--seed", "1001",
+                [sys.executable, "-m", "purlink", command, f"{run}.cfg", *files, "--seed", "1001", *flags,
                  "--threads", str(threads), "--events-log", f"{run}.log"],
                 cwd=work, env=env, capture_output=True,
             )

@@ -114,6 +114,14 @@ def test_ci_halfwidth_matches_formula():
     assert ci_halfwidth(arr) == expected
 
 
+def test_ci_halfwidth_near_the_float_range():
+    # squaring deviations of 1e300 overflows; the samples are rescaled first
+    arr = np.array([1.0, 3.0, 2.0, 7.0]) * 1e300
+    scaled = 1.96 * float(np.std(arr / 7e300, ddof=1)) / math.sqrt(4)
+    assert ci_halfwidth(arr) == 7e300 * scaled
+    assert math.isfinite(ci_halfwidth(arr))
+
+
 def test_ci_halfwidth_constant_samples():
     assert ci_halfwidth([2.5] * 10) == 0.0
 

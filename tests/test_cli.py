@@ -262,6 +262,16 @@ def test_non_finite_numbers_and_negative_seed_are_config_errors(tmp_path, capsys
     assert f"invalid value for '{key}'" in capsys.readouterr().err
 
 
+def test_slow_source_reports_a_finite_rate_ci(tmp_path):
+    # completion times near 1e300 s, whose squared deviations overflow a float
+    text = "kind = ground\nd_km = 20\nmu_hz = 1e-299\nf0 = 0.9\nprotocols = BASE,OPT\ntrials_min = 100\nmax_trials = 200\n"
+    done = fresh_python("-m", "purlink", "simulate", cfg_file(tmp_path, text))
+    assert done.stderr == ""
+    for row in done.stdout.splitlines()[1:]:
+        rate, rate_ci = (float(x) for x in row.split()[3:5])
+        assert 0.0 < rate_ci < rate
+
+
 def test_infinite_memory_times_still_parse():
     cfg = parse_config(MINIMAL + "t1_s = inf\nt2_s = inf\n")
     assert cfg.noise.t1 == cfg.noise.t2 == math.inf
@@ -310,8 +320,22 @@ def test_out_of_domain_sweep_values_are_config_errors(tmp_path, capsys, axes, ke
         ("kind = ground\nd_km = 20\nmu_hz = 1e6\nf0 = 0.9\nc_fiber_km_s = 1e-310\n", ("mu_hz", "c_fiber_km_s")),
         # the herald is a finite 2e301 s, but restarts overflow it
         ("kind = ground\nd_km = 20\nmu_hz = 1e6\nf0 = 0.9\nc_fiber_km_s = 1e-300\n", ("mu_hz", "c_fiber_km_s")),
+        # a gate of 1e317 source periods
+        (
+            "kind = ground\nd_km = 20\nmu_hz = 1e9\nf0 = 0.9\ngate_time_s = 1e308\nprotocols = BASE\nn_steps = 2\n",
+            ("gate_time_s", "measure_time_s"),
+        ),
+        # blind OPT's round stride, measurement time / period, is inf
+        (
+            "kind = ground\nd_km = 20\nmu_hz = 1e9\nf0 = 0.9\nmeasure_time_s = 1e300\nprotocols = OPT\n"
+            "measure_before_confirm = true\nn_steps = 1\n",
+            ("gate_time_s", "measure_time_s"),
+        ),
     ],
-    ids=["opt_restarts", "no_photon", "infinite_period", "period_overflows", "infinite_herald", "herald_overflows"],
+    ids=[
+        "opt_restarts", "no_photon", "infinite_period", "period_overflows", "infinite_herald", "herald_overflows",
+        "gate_overflows", "blind_stride_overflows",
+    ],
 )
 def test_links_that_cannot_deliver_are_config_errors(tmp_path, capsys, link, keys):
     assert main(["simulate", cfg_file(tmp_path, link)]) == 2
@@ -324,6 +348,15 @@ def test_delivery_bound_follows_protocol_and_grid(tmp_path, capsys):
     # only OPT on the timed engine pays for restarts; blind OPT skips lost rounds
     parse_config(lossy + "protocols = NOP,BASE,HOPT\n")
     parse_config(lossy + "measure_before_confirm = true\n")
+    # so a heatmap, which runs every protocol blind, runs where simulate cannot
+    assert main(["simulate", cfg_file(tmp_path, lossy, "lossy.cfg")]) == 2
+    heat = lossy + (
+        "trials_min = 100\nmax_trials = 100\n"
+        "sweep_param = f0\nsweep_values = 0.85, 0.9\nsweep_param2 = t2_s\nsweep_values2 = 0.1\n"
+    )
+    assert main(["heatmap", cfg_file(tmp_path, heat, "heat.cfg"), str(tmp_path / "heat.csv")]) == 0
+    assert len((tmp_path / "heat.csv").read_text().splitlines()) == 3
+    capsys.readouterr()
     # where only OPT's restart bound binds, mbc spares pumping (blind) but
     # not a circuit, and bare-pair OPT under mbc is raw delivery
     steep = (
@@ -383,6 +416,10 @@ def test_flag_overrides_validate(tmp_path, capsys):
     for extra in ((), ("--threads", "2")):
         assert main(["simulate", path, "--seed", "-2", *extra]) == 2
         assert "invalid value for 'seed'" in capsys.readouterr().err
+    # flags replace the file's values before they are checked
+    low = cfg_file(tmp_path, with_key(FAST + "protocols = NOP\nn_steps = 0\n", "trials_min", "50"), "low.cfg")
+    assert main(["simulate", low, "--trials-min", "200", "--max-trials", "200"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].split()[6] == "200"
 
 
 # --- simulate ---
@@ -491,8 +528,8 @@ def test_sweep_csv_byte_identical_across_runs_and_threads(tmp_path, capsys):
 
 
 def test_pool_leaves_blas_thread_variables_as_found(tmp_path, monkeypatch):
-    # the pool sets single-threaded BLAS for its workers only where the
-    # caller set nothing, and restores the environment afterwards
+    # the pool sets no BLAS thread variable: the environment is left as found,
+    # whichever of them the caller set
     monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
     monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
     monkeypatch.setenv("OMP_NUM_THREADS", "2")
@@ -623,3 +660,10 @@ def test_events_log_sections_and_shape(tmp_path):
     # the event trial replays deterministically
     assert main(["simulate", path, "--events-log", str(log)]) == 0
     assert log.read_text().splitlines() == lines
+    # a heatmap traces every protocol it runs, not the file's subset
+    heat = cfg_file(tmp_path, FAST + (
+        "protocols = OPT\nsweep_param = f0\nsweep_values = 0.85, 0.9\nsweep_param2 = t2_s\nsweep_values2 = 0.1\n"
+    ), "heat.cfg")
+    assert main(["heatmap", heat, str(tmp_path / "hm.csv"), "--events-log", str(log)]) == 0
+    headers = [l for l in log.read_text().splitlines() if l.startswith("# protocol ")]
+    assert headers == [f"# protocol {name}" for name in PROTOCOL_NAMES]

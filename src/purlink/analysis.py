@@ -3,7 +3,8 @@
 estimate() runs trials in lockstep batches (protocols.run_trials) until the
 95% CI halfwidths of both the mean fidelity and the delivery rate fall below
 a relative target, then scores the trial-averaged state with the BB84
-secret-key fraction.
+secret-key fraction. Delivered pairs stay flat Pauli rows (TrialResult.pauli):
+the mean row becomes a density matrix once per estimate.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 from .channels import NoiseParams
 from .linkmodel import LinkConfig
 from .protocols import ProtocolKind, Scheme, batch_lanes, run_trials
-from .states import TwoQubitState, fidelity, pauli_expectation
+from .states import TwoQubitState, from_pauli, pauli_fidelity, to_pauli
 
 SKF_MODES = ("qber", "raw")
 
@@ -31,13 +32,13 @@ def binary_entropy(x: float) -> float:
 def skf_bb84(rho: TwoQubitState, mode: str = "qber") -> float:
     """BB84 secret-key fraction of a delivered two-qubit state.
 
-    The X and Z correlators theta_b = Tr(rho P(x)P) set the sifted-basis
-    error rates. In "qber" mode (default) they enter as e_b = (1-theta_b)/2;
-    in "raw" mode the correlators feed the entropy directly, which zeroes
-    the fraction for anything below theta ~ 0.89. Both are clamped at 0.
+    The X and Z correlators theta_b = Tr(rho P(x)P), R_bb of to_pauli(rho),
+    set the sifted-basis error rates. In "qber" mode (default) they enter
+    as e_b = (1-theta_b)/2; in "raw" mode they feed the entropy directly,
+    which zeroes the fraction below theta ~ 0.89. Both are clamped at 0.
     """
-    theta_x = pauli_expectation(rho, "X", "X")
-    theta_z = pauli_expectation(rho, "Z", "Z")
+    r = to_pauli(rho)
+    theta_x, theta_z = float(r[1, 1]), float(r[3, 3])
     if mode == "qber":
         h_x = binary_entropy((1.0 - theta_x) / 2.0)
         h_z = binary_entropy((1.0 - theta_z) / 2.0)
@@ -60,7 +61,7 @@ def ci_halfwidth(samples) -> float:
     return 1.96 * float(np.std(arr, ddof=1)) / math.sqrt(arr.size)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # arrays have no truth value: compare by identity
 class Estimates:
     mean_fidelity: float
     rate: float  # deliveries per second
@@ -122,19 +123,21 @@ def estimate(
     fids: list[float] = []
     pairs: list[int] = []
     restarts: list[int] = []
-    state_sum = np.zeros((4, 4), dtype=complex)
+    row_sum = np.zeros(16)
 
     def run_batch(count: int) -> None:
-        nonlocal state_sum
+        nonlocal row_sum
         start = len(times)
         for lo in range(start, start + count, chunk):
             rngs = [np.random.default_rng((*base, i)) for i in range(lo, min(lo + chunk, start + count))]
-            for res in run_trials(kind, scheme, link, noise, rngs):
+            results = run_trials(kind, scheme, link, noise, rngs)
+            rows = np.array([res.pauli for res in results])
+            fids.extend(pauli_fidelity(rows).tolist())
+            row_sum = np.add.reduce(np.vstack((row_sum, rows)), axis=0)  # in trial order, whatever the chunk
+            for res in results:
                 times.append(res.completion_time)
-                fids.append(fidelity(res.output_state))
                 pairs.append(res.pairs_consumed)
                 restarts.append(res.restarts)
-                state_sum = state_sum + res.output_state
 
     def within_target() -> bool:
         mean_f = float(np.mean(fids))
@@ -154,7 +157,7 @@ def estimate(
     mean_t = float(np.mean(times))
     ci_t = ci_halfwidth(times)
     rate = 1.0 / mean_t
-    mean_state = state_sum / n
+    mean_state = from_pauli(row_sum / n)
     return Estimates(
         mean_fidelity=float(np.mean(fids)),
         rate=rate,

@@ -138,32 +138,15 @@ def measure_branches(r: np.ndarray, pair: int, basis: str, p_m: float) -> np.nda
 # ---------------------------------------------------------------------------
 # Memory decoherence
 
-def _damping_lambda(t: float, t1: float) -> float:
-    if t < 0:
-        raise ValueError(f"negative duration {t}")
-    if math.isinf(t1):
-        return 0.0
-    return 1.0 - math.exp(-t / t1)
-
-
-def _dephasing_pz(t: float, t1: float, t2: float) -> float:
-    if t < 0:
-        raise ValueError(f"negative duration {t}")
-    if t2 > 2.0 * t1:
-        raise ValueError("dephasing needs t2 <= 2*t1")
-    decay = 0.0 if math.isinf(t2) else t / t2
-    revive = 0.0 if math.isinf(t1) else t / (2.0 * t1)
-    return 0.5 * (1.0 - math.exp(-decay + revive))
-
-
 def decay_transfer(dts, noise: NoiseParams) -> np.ndarray:
     """The one-qubit transfer matrix T of the memory channel for each duration, stacked.
 
     On a qubit's (I, X, Y, Z) axis,
     T = [[1, 0, 0, 0], [0, c, 0, 0], [0, 0, c, 0], [lam, 0, 0, 1-lam]] with
-    lam = _damping_lambda and c = sqrt(1-lam) (1-2 p_z), p_z = _dephasing_pz,
-    inlined here term for term. They are computed lane by lane with math,
-    so a lane's T does not depend on its batch.
+    c = sqrt(1-lam) (1-2 p_z), where lam and p_z are the damping_lambda and
+    dephasing_pz of the Kraus oracle (tests/dense_oracle.py), inlined here
+    term for term. They are computed lane by lane with math, so a lane's T
+    does not depend on its batch.
     """
     t1, t2 = noise.t1, noise.t2
     damped, dephased = not math.isinf(t1), not math.isinf(t2)

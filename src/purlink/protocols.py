@@ -19,8 +19,8 @@ events that touch it.
 
 Every pair lives in a register held in Pauli transfer form (see channels):
 a pair starts alone, as the real 4x4 matrix of states.to_pauli, and a gate
-joins the registers of its two pairs. TrialResult.output_state is always a
-4x4 density matrix, converted once at delivery.
+joins the registers of its two pairs. TrialResult.pauli is the delivered flat
+row, and TrialResult.output_state its 4x4 density matrix, converted when read.
 
 Every trial runs in one lockstep engine, run_trials, which executes a
 purification circuit for one lane per generator; run_trial is its batch of
@@ -110,13 +110,17 @@ class CircuitScheme:
 Scheme = Union[Pumping, CircuitScheme]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # arrays have no truth value: compare by identity
 class TrialResult:
     completion_time: float
-    output_state: TwoQubitState
+    pauli: np.ndarray  # the delivered pair, flat, indexed 4 i + j as in states.to_pauli
     pairs_consumed: int
     steps_completed: int
     restarts: int
+
+    @property
+    def output_state(self) -> TwoQubitState:
+        return from_pauli(self.pauli)
 
 
 def expected_nop_time(link: LinkConfig) -> float:
@@ -294,7 +298,7 @@ class _Batch:
     def run(self, ops: tuple, ix: np.ndarray, dts: tuple, us: tuple):
         """Apply a run of ops to the lanes ix, dts[i][j] holding lane i's durations for op j.
 
-        Returns the last op's outcome lists, or the delivered states.
+        Returns the last op's outcome lists, or the delivered (lanes, 16) rows.
         Registers pass from op to op in hand and are stored at the end.
         """
         held: dict = {}
@@ -310,7 +314,7 @@ class _Batch:
                 regs[key] = self.decohere(r, pair, [d[j][n] for d in dts])
             rs = list(regs.values())
             if code == _DELIVER:
-                return [from_pauli(row) for row in rs[0]]
+                return rs[0]
             if code == _STEP:
                 *outcome, post, _ = _pump_step(self.tables, rs[0], rs[1], us)
             elif code == _MEASURE:
@@ -337,7 +341,7 @@ def _lockstep(
     then waits until its operands are usable. At each step or measurement
     the lane yields (run id, durations, uniforms) for the run of ops it
     walked, and is sent the outcomes (out_a, out_b). At delivery it yields
-    (run id, durations, None), is sent the delivered state and yields its
+    (run id, durations, None), is sent the delivered row and yields its
     TrialResult. The lanes are grouped by run id, and each group runs once
     through _Batch. A lane takes its uniforms in the order a lone trial
     would and its arithmetic lane by lane, so its result is the same alone

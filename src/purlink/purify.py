@@ -30,7 +30,7 @@ ROT_BOB = (I2 + 1j * PAULI_X) / np.sqrt(2.0)
 ROT_PAIR = np.kron(ROT_ALICE, ROT_BOB)  # on one pair's (A, B) qubits
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # arrays have no truth value: compare by identity
 class StepOutcome:
     success: bool
     alice_outcome: int  # +1 / -1

@@ -8,9 +8,9 @@ permutations between the simulator and the tests' recurrence oracle.
 The simulator holds states in Pauli transfer form instead: a pair is the
 real 4x4 matrix R[i, j] = Tr(rho sigma_i (x) sigma_j) with sigma in the order
 (I, X, Y, Z), and a register of several pairs is the same form on more axes
-(see channels). to_pauli and from_pauli convert a pair, and pauli_image gives
-the signed permutation a two-qubit Clifford makes of the 16 Pauli strings.
-Density matrices appear only at delivery and at the dejmps_step boundary.
+(see channels). to_pauli and from_pauli convert a pair, pauli_fidelity reads
+flat rows, and pauli_image gives a Clifford's signed permutation of the 16
+Pauli strings. Density matrices appear only as results are read and in dejmps_step.
 """
 
 from __future__ import annotations
@@ -69,15 +69,8 @@ def bell_diagonal_state(coeffs: BellCoeffs) -> TwoQubitState:
 
 
 def fidelity(rho: TwoQubitState) -> float:
-    """Overlap <phi+|rho|phi+>, clamped into [0, 1]."""
-    f = float(np.real(PHI_PLUS.conj() @ rho @ PHI_PLUS))
-    return min(max(f, 0.0), 1.0)
-
-
-def pauli_expectation(rho: TwoQubitState, obs_a: str, obs_b: str) -> float:
-    """Tr(rho * A tensor B) for Paulis A, B in {I, X, Y, Z}."""
-    op = np.kron(PAULIS[obs_a], PAULIS[obs_b])
-    return float(np.real(np.trace(rho @ op)))
+    """Overlap <phi+|rho|phi+>, clamped into [0, 1] (see pauli_fidelity)."""
+    return float(pauli_fidelity(to_pauli(rho).reshape(16)))
 
 
 # ---------------------------------------------------------------------------
@@ -99,6 +92,11 @@ def to_pauli(rho: TwoQubitState) -> np.ndarray:
 def from_pauli(r: np.ndarray) -> TwoQubitState:
     """The 4x4 density matrix with Pauli coefficients r (inverse of to_pauli)."""
     return (_FROM_PAULI @ r.reshape(16)).reshape(4, 4)
+
+
+def pauli_fidelity(r: np.ndarray) -> np.ndarray:
+    """<phi+|rho|phi+> = (R_II + R_XX - R_YY + R_ZZ) / 4 of flat rows r (last axis 16), clamped into [0, 1]."""
+    return np.clip((r[..., 0] + r[..., 5] - r[..., 10] + r[..., 15]) / 4.0, 0.0, 1.0)
 
 
 def pauli_image(unitary: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

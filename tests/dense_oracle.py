@@ -3,9 +3,12 @@
 Registers here are complex 2^n x 2^n density matrices, and every channel is
 built from full operators: gates and rotations by embedding (embed_two,
 insert_mixed, trace_out), measurements by projectors, memory decoherence by
-the amplitude damping and dephasing Kraus operators. run_circuit interprets
-the circuit DSL on them, untimed. pauli_register and dense_register convert
-an n-qubit state to and from the Pauli transfer form of purlink.channels.
+the amplitude damping and dephasing Kraus operators, whose strengths
+damping_lambda and dephasing_pz give (channels.decay_transfer inlines
+them). run_circuit interprets the circuit DSL on them, untimed.
+pauli_register and dense_register convert an n-qubit state to and from the
+Pauli transfer form of purlink.channels, and pauli_expectation reads one
+entry of a pair's form by trace, the oracle of states.to_pauli.
 
 step_branch_maps pushes every basis matrix of the joint 16x16 input through
 the dense channels, giving the pumping step's four outcome branches as
@@ -31,7 +34,7 @@ from itertools import count
 
 import numpy as np
 
-from purlink.channels import CNOT, TWO_QUBIT_GATES, ImpossibleOutcomeError, _damping_lambda, _dephasing_pz
+from purlink.channels import CNOT, TWO_QUBIT_GATES, ImpossibleOutcomeError
 from purlink.purify import ROT_PAIR, Gate, PurificationCircuit, Rot, StepOutcome, load_circuit
 from purlink.states import BELL_VECTORS, I2, PAULI_ORDER, PAULIS, BellCoeffs, to_pauli
 
@@ -170,6 +173,12 @@ def insert_mixed(rho, positions, n_total):
     return t.transpose(axes).reshape(1 << n_total, 1 << n_total)
 
 
+def pauli_expectation(rho, obs_a: str, obs_b: str) -> float:
+    """Tr(rho * A tensor B) for Paulis A, B in {I, X, Y, Z}."""
+    op = np.kron(PAULIS[obs_a], PAULIS[obs_b])
+    return float(np.real(np.trace(rho @ op)))
+
+
 def pauli_register(rho):
     """Pauli transfer form, shape (4,) * n, of an n-qubit density matrix."""
     n = rho.shape[0].bit_length() - 1
@@ -279,9 +288,27 @@ def noisy_measure(reg, qubit, basis, p_m, u):
     return outcome, PairRegister(post / np.trace(post), labels), prob
 
 
+def damping_lambda(t: float, t1: float) -> float:
+    if t < 0:
+        raise ValueError(f"negative duration {t}")
+    if math.isinf(t1):
+        return 0.0
+    return 1.0 - math.exp(-t / t1)
+
+
+def dephasing_pz(t: float, t1: float, t2: float) -> float:
+    if t < 0:
+        raise ValueError(f"negative duration {t}")
+    if t2 > 2.0 * t1:
+        raise ValueError("dephasing needs t2 <= 2*t1")
+    decay = 0.0 if math.isinf(t2) else t / t2
+    revive = 0.0 if math.isinf(t1) else t / (2.0 * t1)
+    return 0.5 * (1.0 - math.exp(-decay + revive))
+
+
 def amplitude_damp(reg, qubit, t, t1):
     """Relaxation toward |0> for duration t with time constant t1."""
-    lam = _damping_lambda(t, t1)
+    lam = damping_lambda(t, t1)
     e0 = np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - lam)]], dtype=complex)
     e1 = np.array([[0.0, math.sqrt(lam)], [0.0, 0.0]], dtype=complex)
     k0 = embed_single(e0, qubit, reg.n_qubits)
@@ -291,7 +318,7 @@ def amplitude_damp(reg, qubit, t, t1):
 
 def dephase(reg, qubit, t, t1, t2):
     """Phase flip with probability p_z(t; t1, t2) on one qubit."""
-    p_z = _dephasing_pz(t, t1, t2)
+    p_z = dephasing_pz(t, t1, t2)
     z = embed_single(PAULIS["Z"], qubit, reg.n_qubits)
     return PairRegister((1.0 - p_z) * reg.rho + p_z * (z @ reg.rho @ z), reg.qubits)
 

@@ -17,7 +17,11 @@ steps, restarts) are exact, the largest state difference among those,
 every flipped draw (a cell and seed whose timeline differs), and how many
 event logs were compared and differ, with the first differing line of
 each. It exits 1 if any timeline or event log differs or either side
-raised where the other did not.
+raised where the other did not. The state compared is the delivered flat
+Pauli row, TrialResult.pauli. A checkout from before that field delivers
+the 4x4 output_state instead; against it, the row is converted with
+ROOT_B's states.from_pauli, the conversion such a checkout made at
+delivery.
 
     python tests/equivalence_grid.py --cli ROOT_A ROOT_B
 
@@ -29,7 +33,10 @@ file's trial budget with --trials-min, --max-trials and --ci-target, and
 one more simulate is given --trials-min 50, which makes its config invalid,
 so that an error exit and its message are compared too. It prints every
 output (exit code, stdout, stderr, CSV, events log) that differs by a byte,
-with its diff, and exits 1 if any does.
+with its diff, and exits 1 if any does. For a differing table (a CSV, or
+simulate's stdout) with the same shape on both sides, it also prints the
+largest absolute and relative difference in each numeric column that
+moved.
 
 Both modes end with the line count of each checkout's src/purlink, as
 "src/purlink lines: A -> B". pytest does not collect this file.
@@ -151,12 +158,13 @@ def run_grid(root: str, seeds: int, batch: bool) -> dict:
             results = [f"{type(exc).__name__}: {exc}"] * seeds
         for s, r in enumerate(results):
             out[cell, s] = r if isinstance(r, str) else (
-                r.completion_time, r.pairs_consumed, r.steps_completed, r.restarts, r.output_state,
+                r.completion_time, r.pairs_consumed, r.steps_completed, r.restarts,
+                r.pauli if hasattr(r, "pauli") else r.output_state,
                 *(() if batch else (tuple(logs[s]),)))
     return out
 
 
-def compare(a: dict, b: dict) -> int:
+def compare(a: dict, b: dict, from_pauli) -> int:
     import numpy as np
 
     exact, flipped, max_diff, compared, differ = 0, [], 0.0, 0, []
@@ -172,7 +180,10 @@ def compare(a: dict, b: dict) -> int:
             flipped.append((key, ra[:4], rb[:4]))
             continue
         exact += 1
-        max_diff = max(max_diff, float(np.abs(ra[4] - rb[4]).max()))
+        sa, sb = ra[4], rb[4]
+        if sa.shape != sb.shape:  # one side delivers 4x4 matrices: compare in that form
+            sa, sb = (from_pauli(s) if s.shape == (16,) else s for s in (sa, sb))
+        max_diff = max(max_diff, float(np.abs(sa - sb).max()))
         if len(ra) == len(rb) == 6:
             compared += 1
             if ra[5] != rb[5]:
@@ -226,7 +237,37 @@ def compare_cli(a: dict, b: dict) -> int:
             b[run, threads, name].decode(errors="replace").splitlines(keepends=True),
             "ROOT_A", "ROOT_B",
         ))
+        for line in column_drift(a[run, threads, name], b[run, threads, name]):
+            print(f"  {line}")
     return 1 if differ else 0
+
+
+def column_drift(a: bytes, b: bytes) -> list[str]:
+    """Per moved column of two tables, its largest absolute and relative difference.
+
+    A table is a header line and rows of as many fields, split on commas and
+    blanks; outputs that are not tables of one shape on both sides give [].
+    """
+    tables = [[line.replace(",", " ").split() for line in text.decode(errors="replace").splitlines()]
+              for text in (a, b)]
+    ta, tb = tables
+    shape = [len(row) for row in ta]
+    if len(ta) < 2 or ta[0] != tb[0] or shape != [len(row) for row in tb] or len(set(shape)) != 1:
+        return []
+    lines = []
+    for j, column in enumerate(ta[0]):
+        pairs = [(ra[j], rb[j]) for ra, rb in zip(ta[1:], tb[1:]) if ra[j] != rb[j]]
+        if not pairs:
+            continue
+        try:
+            nums = [(float(x), float(y)) for x, y in pairs]
+        except ValueError:
+            lines.append(f"{column}: {len(pairs)} values differ, not numeric")
+            continue
+        absolute = max(abs(x - y) for x, y in nums)
+        relative = max(abs(x - y) / (max(abs(x), abs(y)) or 1.0) for x, y in nums)
+        lines.append(f"{column}: {len(pairs)} values differ, max abs {absolute:.3g}, max rel {relative:.3g}")
+    return lines
 
 
 def src_lines(root: str) -> int:
@@ -257,7 +298,10 @@ def main(argv: list[str]) -> int:
                 subprocess.run([sys.executable, __file__, "--dump", root, str(args.seeds), "1" if batch else "0",
                                 str(out)], check=True)
                 grids.append(pickle.loads(out.read_bytes()))
-        status = compare(*grids)
+        sys.path.insert(0, str(Path(args.root_b, "src").resolve()))
+        from purlink.states import from_pauli
+
+        status = compare(*grids, from_pauli)
     print(f"src/purlink lines: {src_lines(args.root_a)} -> {src_lines(args.root_b)}")
     return status
 

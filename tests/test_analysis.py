@@ -161,23 +161,24 @@ def test_estimate_is_deterministic():
     assert a.n_trials == b.n_trials
     assert a.converged == b.converged
     assert np.array_equal(a.mean_state, b.mean_state)
+    assert a != b and len({a, b}) == 2  # compared by identity, so == and hash never touch the arrays
 
 
 def test_estimate_trial_seeding_contract():
     # trial i must draw from default_rng((*seed, i)) so batching is invisible
     est = estimate(BASE, Pumping(2), LOSSY_MHZ, DECOHERING, n_min=100, seed=(4, 9), max_trials=100)
-    times, fids, state_sum = [], [], np.zeros((4, 4), dtype=complex)
-    from purlink.states import fidelity
+    times, fids, row_sum = [], [], np.zeros(16)
+    from purlink.states import from_pauli, pauli_fidelity
 
     for i in range(100):
         rng = np.random.default_rng((4, 9, i))
         res = run_trial(BASE, Pumping(2), LOSSY_MHZ, DECOHERING, rng)
         times.append(res.completion_time)
-        fids.append(fidelity(res.output_state))
-        state_sum = state_sum + res.output_state
+        fids.append(float(pauli_fidelity(res.pauli)))
+        row_sum = row_sum + res.pauli
     assert est.mean_fidelity == float(np.mean(fids))
     assert est.rate == 1.0 / float(np.mean(times))
-    assert np.array_equal(est.mean_state, state_sum / 100)
+    assert np.array_equal(est.mean_state, from_pauli(row_sum / 100))
 
 
 def test_estimate_integer_seed_equals_singleton_tuple():

@@ -19,7 +19,6 @@ from purlink.channels import (
     sample_branches,
     satellite_transmissivity,
 )
-from purlink.channels import _damping_lambda, _dephasing_pz
 from purlink.purify import ROT_PAIR, _step_tables, clifford_lanes
 from purlink.states import fidelity, from_pauli, make_werner, to_pauli
 
@@ -28,9 +27,11 @@ from dense_oracle import (
     QueuedU,
     amplitude_damp,
     bilateral_gate,
+    damping_lambda,
     decohere,
     dense_register,
     dephase,
+    dephasing_pz,
     depolarize_gate,
     extract_pair,
     join,
@@ -337,36 +338,36 @@ def test_pauli_step_tables_match_dense_maps(p_g, p_m):
 
 
 def test_damping_lambda():
-    assert _damping_lambda(0.0, 1.0) == 0.0
-    assert _damping_lambda(1.0, math.inf) == 0.0
-    assert abs(_damping_lambda(2.0, 1.0) - (1.0 - math.exp(-2.0))) < 1e-15
+    assert damping_lambda(0.0, 1.0) == 0.0
+    assert damping_lambda(1.0, math.inf) == 0.0
+    assert abs(damping_lambda(2.0, 1.0) - (1.0 - math.exp(-2.0))) < 1e-15
     with pytest.raises(ValueError):
-        _damping_lambda(-0.1, 1.0)
+        damping_lambda(-0.1, 1.0)
 
 
 def test_dephasing_pz():
-    assert _dephasing_pz(0.0, 1.0, 1.0) == 0.0
+    assert dephasing_pz(0.0, 1.0, 1.0) == 0.0
     # pure dephasing when damping is off
-    assert abs(_dephasing_pz(0.5, math.inf, 1.0) - 0.5 * (1 - math.exp(-0.5))) < 1e-15
+    assert abs(dephasing_pz(0.5, math.inf, 1.0) - 0.5 * (1 - math.exp(-0.5))) < 1e-15
     # damping eats part of the phase decay budget
     want = 0.5 * (1.0 - math.exp(-1.0 / 0.3 + 1.0 / 2.0))
-    assert abs(_dephasing_pz(1.0, 1.0, 0.3) - want) < 1e-15
-    assert _dephasing_pz(10.0, math.inf, math.inf) == 0.0
+    assert abs(dephasing_pz(1.0, 1.0, 0.3) - want) < 1e-15
+    assert dephasing_pz(10.0, math.inf, math.inf) == 0.0
     with pytest.raises(ValueError):
-        _dephasing_pz(1.0, 1.0, 3.0)
+        dephasing_pz(1.0, 1.0, 3.0)
 
 
 def test_decay_transfer_inlines_the_scalar_rates():
     # decay_transfer computes lam and p_z lane by lane, term for term as
-    # _damping_lambda and _dephasing_pz do, so the entries agree exactly
+    # damping_lambda and dephasing_pz do, so the entries agree exactly
     dts = [1e-9, 3.7e-6, 2e-4, 0.01, 0.3, 2.0, 40.0]
     for noise in (NoiseParams(t1=360.0, t2=0.01), NoiseParams(t1=1.0, t2=0.8), NoiseParams(t1=math.inf, t2=1e-3),
                   NoiseParams(t1=5.0, t2=10.0), NoiseParams(t1=math.inf, t2=math.inf)):
         t = decay_transfer(dts, noise)
         assert t.shape == (len(dts), 4, 4)
         for ti, dt in zip(t, dts):
-            lam = _damping_lambda(dt, noise.t1)
-            c = math.sqrt(1.0 - lam) * (1.0 - 2.0 * _dephasing_pz(dt, noise.t1, noise.t2))
+            lam = damping_lambda(dt, noise.t1)
+            c = math.sqrt(1.0 - lam) * (1.0 - 2.0 * dephasing_pz(dt, noise.t1, noise.t2))
             want = np.array([[1, 0, 0, 0], [0, c, 0, 0], [0, 0, c, 0], [lam, 0, 0, 1 - lam]])
             assert np.array_equal(ti, want)
     with pytest.raises(ValueError):

@@ -17,7 +17,7 @@ from purlink.channels import NoiseParams
 from purlink.linkmodel import GROUND, LinkConfig
 from purlink.protocols import CircuitScheme, ProtocolKind, Pumping, run_trial, run_trials
 from purlink.purify import parse_circuit
-from purlink.states import fidelity
+from purlink.states import from_pauli, pauli_fidelity
 
 NOISE = NoiseParams(p_g=0.98, p_m=0.99, t1=360.0, t2=0.01)
 LINKS = {
@@ -107,12 +107,12 @@ def test_estimate_batches_split_100_50_75(lanes, monkeypatch):
     assert est.n_trials == 225 and not est.converged
     trials = per_trial(kind, scheme, link, (8, 3), 225)
     times = [r.completion_time for r in trials]
-    state_sum = np.zeros((4, 4), dtype=complex)
+    row_sum = np.zeros(16)
     for r in trials:
-        state_sum = state_sum + r.output_state
-    assert est.mean_fidelity == float(np.mean([fidelity(r.output_state) for r in trials]))
+        row_sum = row_sum + r.pauli
+    assert est.mean_fidelity == float(np.mean([pauli_fidelity(r.pauli) for r in trials]))
     assert est.rate == 1.0 / float(np.mean(times))
-    assert np.array_equal(est.mean_state, state_sum / 225)
+    assert np.array_equal(est.mean_state, from_pauli(row_sum / 225))
     assert est.mean_pairs == float(np.mean([r.pairs_consumed for r in trials]))
     assert est.mean_restarts == float(np.mean([r.restarts for r in trials]))
 

@@ -260,10 +260,11 @@ def test_returned_state_does_not_alias_kernel_werner():
     kind = ProtocolKind("BASE", measure_before_confirm=True)
     link = ground(mu=1e3, alpha_f=0.0)
     r = run_trial(kind, Pumping(0), link, DEFAULT_NOISE, np.random.default_rng(0))
-    try:
-        r.output_state[...] = 0.0
-    except ValueError:
-        pass  # a read-only state may refuse the edit
+    for state in (r.output_state, r.pauli):
+        try:
+            state[...] = 0.0
+        except ValueError:
+            pass  # a read-only state may refuse the edit
     again = run_trial(kind, Pumping(0), link, DEFAULT_NOISE, np.random.default_rng(1))
     assert abs(fidelity(again.output_state) - 0.9) < 1e-12
 
@@ -539,3 +540,4 @@ def test_run_trial_deterministic():
         assert a.completion_time == b.completion_time
         assert a.pairs_consumed == b.pairs_consumed
         assert np.array_equal(a.output_state, b.output_state)
+        assert a != b and len({a, b}) == 2  # compared by identity, so == and hash never touch the arrays

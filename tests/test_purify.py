@@ -160,6 +160,8 @@ def test_step_noisy_regression():
     assert (out.alice_outcome, out.bob_outcome) == (-1, -1)
     assert abs(fidelity(out.post_state) - 0.7809409205590889) < 1e-12
     assert abs(out.branch_prob - 0.34746999999999995) < 1e-12
+    again = dejmps_step(make_werner(0.85), make_werner(0.75), noise, np.random.default_rng(42))
+    assert out != again and len({out, again}) == 2  # compared by identity, so == and hash never touch the arrays
 
 
 def test_dejmps_step_matches_dense_step_over_noise():

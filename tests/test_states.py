@@ -8,12 +8,11 @@ from purlink.states import (
     fidelity,
     make_werner,
     from_pauli,
-    pauli_expectation,
     to_pauli,
 )
 from purlink.states import PAULI_X, PAULI_Z, PHI_PLUS
 
-from dense_oracle import bell_diagonal, check_state, embed_single, embed_two, insert_mixed, trace_out
+from dense_oracle import bell_diagonal, check_state, embed_single, embed_two, insert_mixed, pauli_expectation, trace_out
 
 RNG = np.random.default_rng(20240811)
 
@@ -99,6 +98,14 @@ def test_check_state_rejections():
 def test_fidelity_clamps():
     assert fidelity(np.zeros((4, 4), dtype=complex)) == 0.0
     assert fidelity(2 * make_werner(1.0)) == 1.0
+
+
+def test_fidelity_is_the_phi_plus_overlap():
+    # the Pauli-form formula agrees with <phi+|rho|phi+> on any state
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        rho = random_density(2, rng)
+        assert abs(fidelity(rho) - float(np.real(PHI_PLUS.conj() @ rho @ PHI_PLUS))) < 1e-15
 
 
 def test_embed_single_matches_kron():

@@ -18,6 +18,7 @@ from .channels import NoiseParams
 from .linkmodel import LinkConfig
 from .protocols import ProtocolKind, Scheme, batch_lanes, run_trials
 from .states import TwoQubitState, from_pauli, pauli_fidelity, to_pauli
+from .streams import Streams
 
 SKF_MODES = ("qber", "raw")
 
@@ -129,8 +130,7 @@ def estimate(
         nonlocal row_sum
         start = len(times)
         for lo in range(start, start + count, chunk):
-            rngs = [np.random.default_rng((*base, i)) for i in range(lo, min(lo + chunk, start + count))]
-            results = run_trials(kind, scheme, link, noise, rngs)
+            results = run_trials(kind, scheme, link, noise, Streams(base, lo, min(lo + chunk, start + count)))
             rows = np.array([res.pauli for res in results])
             fids.extend(pauli_fidelity(rows).tolist())
             row_sum = np.add.reduce(np.vstack((row_sum, rows)), axis=0)  # in trial order, whatever the chunk

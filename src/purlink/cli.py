@@ -14,12 +14,11 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .analysis import Estimates, estimate
 from .config import Config, ConfigError, grid_points, load_config
 from .protocols import PROTOCOL_NAMES, ProtocolKind, Pumping, run_trial
 from .purify import CircuitError
+from .streams import Streams
 
 SWEEP_HEADER = "protocol,f0,t2_s,mu_hz,d_km,n_steps,fidelity,fidelity_ci,rate,rate_ci,skr,n_trials"
 HEATMAP_HEADER = "f0,t2_s,best_protocol,best_skr,skr_nop,skr_base,skr_hopt,skr_opt"
@@ -100,9 +99,8 @@ def _write_events_log(path: str, cfg: Config) -> None:
     for name in cfg.protocols:
         kind = ProtocolKind(name, measure_before_confirm=cfg.measure_before_confirm)
         events: list[str] = []
-        rng_seed = (*_cell_seed(cfg, name, 0), _EVENT_TRIAL_INDEX)
-        run_trial(kind, cfg.scheme, cfg.link, cfg.noise,
-                  np.random.default_rng(rng_seed), events=events)
+        streams = Streams(_cell_seed(cfg, name, 0), _EVENT_TRIAL_INDEX, _EVENT_TRIAL_INDEX + 1)
+        run_trial(kind, cfg.scheme, cfg.link, cfg.noise, streams, events=events)
         lines.append(f"# protocol {name}")
         lines.extend(events)
     Path(path).write_text("\n".join(lines) + "\n")

@@ -23,7 +23,7 @@ joins the registers of its two pairs. TrialResult.pauli is the delivered flat
 row, and TrialResult.output_state its 4x4 density matrix, converted when read.
 
 Every trial runs in one lockstep engine, run_trials, which executes a
-purification circuit for one lane per generator; run_trial is its batch of
+purification circuit for one lane per trial; run_trial is its batch of
 one. plan alone decides what a protocol and scheme run: Pumping(n) is a
 circuit of n fused steps, raw delivery (NOP, whatever the scheme) is the
 empty circuit Pumping(0) with no partner slot to hold, and blind OPT (OPT
@@ -71,6 +71,7 @@ from .channels import NoiseParams, decay_transfer, decohere_lanes, measure_branc
 from .linkmodel import LinkConfig, attempt_success_prob, link_delays, per_photon_survival
 from .purify import Gate, Measure, PurificationCircuit, Rot, _pump_step, _step_tables, clifford_lanes
 from .states import TwoQubitState, from_pauli, make_werner, to_pauli
+from .streams import Streams
 
 PROTOCOL_NAMES = ("NOP", "BASE", "HOPT", "OPT")
 
@@ -259,15 +260,18 @@ def _compile(circ: PurificationCircuit) -> tuple:
     return tuple(program), runs, tuple(ids), {key: sizes[key] for key in kept}, hand
 
 
-# Each lane prefetches its uniforms _MAX_BLOCK at a time; rng.random(n)
-# yields the same numbers as n scalar draws.
+# Each lane prefetches its uniforms in blocks, _MAX_BLOCK at a time from a
+# generator; rng.random(n) yields the same numbers as n scalar draws.
 _MAX_BLOCK = 128
 _BATCH_ELEMENTS = 1 << 16  # floats one batch of lanes may hold (see batch_lanes)
+_DRY = (None, None, None)  # what a lane yields when it needs its next block
 
 
-def _refill(rng, buf: array, pos: int) -> array:
-    """The uniforms of buf from pos on, then the next block; a scripted stand-in may return fewer."""
-    return buf[pos:] + array("d", rng.random(_MAX_BLOCK).tobytes())
+class _Generators(list):
+    """Generators as a block source: each dry lane draws rng.random(_MAX_BLOCK); a stand-in may return fewer."""
+
+    def refill(self, rows) -> list:
+        return [array("d", self[row].random(_MAX_BLOCK).tobytes()) for row in rows]
 
 
 class _Batch:
@@ -330,9 +334,9 @@ class _Batch:
 
 
 def _lockstep(
-    kind: ProtocolKind, scheme: Scheme, link: LinkConfig, noise: NoiseParams, rngs, logs
+    kind: ProtocolKind, scheme: Scheme, link: LinkConfig, noise: NoiseParams, source, logs
 ) -> list[TrialResult]:
-    """Run one lane per generator from empty memories until each delivers.
+    """Run one lane per trial of source, generators or a Streams, from empty memories until each delivers.
 
     Each lane is a generator, trial, that tells its trial in program order.
     One pass of its outer loop is one episode from empty memories, and a
@@ -343,9 +347,11 @@ def _lockstep(
     walked, and is sent the outcomes (out_a, out_b). At delivery it yields
     (run id, durations, None), is sent the delivered row and yields its
     TrialResult. The lanes are grouped by run id, and each group runs once
-    through _Batch. A lane takes its uniforms in the order a lone trial
-    would and its arithmetic lane by lane, so its result is the same alone
-    and in a batch of any size.
+    through _Batch. A lane out of uniforms yields _DRY and is sent its next
+    block: the lanes that ran dry in a pass get theirs from one
+    source.refill at its end. A lane takes its uniforms in the order a lone
+    trial would and its arithmetic lane by lane, so its result is the same
+    alone and in a batch of any size.
 
     Pairs take memory slots in arrival order; a slot frees at the
     measurement of the pair holding it, and under BASE a new pair is also
@@ -386,9 +392,9 @@ def _lockstep(
         q_round = (p_photon * p_photon) ** circ.num_pairs  # every photon of a round survives
         log_lost = math.log1p(-q_round) if q_round < 1.0 else None
 
-    def trial(rng, events: Optional[list], row: int):
+    def trial(events: Optional[list], row: int, buf: array):
         """One lane, row of the batch's store; events is its caller's list, None when untraced."""
-        buf, i, end = array("d"), 0, -1  # prefetched uniforms, the next one, and len(buf) - 1
+        i, end = 0, len(buf) - 1  # buf: prefetched uniforms, the next one, and len(buf) - 1
         pairs = restarts = 0
         usable = [0.0] * circ.num_pairs  # local time from which each pair may be used
         touched = [0.0] * circ.num_pairs  # time each pair is decohered up to
@@ -417,7 +423,7 @@ def _lockstep(
                             k = round_next
                             if log_lost is not None:  # the rounds photon loss dooms before this one
                                 while i > end:
-                                    buf, i = _refill(rng, buf, i), 0
+                                    buf, i = buf[i:] + (yield _DRY), 0
                                     end = len(buf) - 1
                                 skipped = int(math.log(max(buf[i], 1e-300)) / log_lost)
                                 i += 1
@@ -437,7 +443,7 @@ def _lockstep(
                             k = k_last + 1
                         while True:  # the tick scan
                             while i >= end:
-                                buf, i = _refill(rng, buf, i), 0
+                                buf, i = buf[i:] + (yield _DRY), 0
                                 end = len(buf) - 1
                             got_a = buf[i] < p_photon
                             got_b = buf[i + 1] < p_photon
@@ -519,7 +525,7 @@ def _lockstep(
                 if seed:
                     batch.store[seed][row] = werner
                 while i >= end:
-                    buf, i = _refill(rng, buf, i), 0
+                    buf, i = buf[i:] + (yield _DRY), 0
                     end = len(buf) - 1
                 out_a, out_b = yield runs[start], dts, (buf[i], buf[i + 1])
                 i += 2
@@ -546,14 +552,20 @@ def _lockstep(
                 start, dts = pc + 1, []
             restarts += 1
 
-    batch = _Batch(noise, werner, kept, len(rngs))
-    lanes = [trial(rng, events, row) for row, (rng, events) in enumerate(zip(rngs, logs))]
+    source = source if isinstance(source, Streams) else _Generators(source)
+    batch = _Batch(noise, werner, kept, len(source))
+    lanes = [trial(*lane) for lane in zip(logs, range(len(logs)), source.refill(list(range(len(logs)))))]
     results: list = [None] * len(lanes)
     groups = defaultdict(list)  # run id -> (row, durations, uniforms) of each lane that walked it
     for row, lane in enumerate(lanes):
         ident, dts, u = next(lane)
         groups[ident].append((row, dts, u))
     while groups:
+        while None in groups:  # the lanes that ran dry this pass, served in one call
+            rows = [row for row, _, _ in groups.pop(None)]
+            for row, block in zip(rows, source.refill(rows)):
+                ident, dts, u = lanes[row].send(block)
+                groups[ident].append((row, dts, u))
         current, groups = groups, defaultdict(list)
         for ident, members in current.items():
             rows, dts, us = zip(*members)
@@ -595,7 +607,7 @@ def run_trials(
 
     Result i is trial i's, drawn from rngs[i] alone and equal to
     run_trial(kind, scheme, link, noise, rngs[i]) whatever the batch. Each
-    generator may be advanced past its trial's last draw.
+    generator may be advanced past its trial's last draw. rngs may be a streams.Streams instead.
     """
     return _lockstep(kind, scheme, link, noise, rngs, [None] * len(rngs))
 
@@ -621,7 +633,8 @@ def run_trial(
 ) -> TrialResult:
     """Simulate one delivery from empty memories to one accepted pair: a batch of one.
 
-    A list passed as events receives the trial's event lines, "time node kind detail".
+    rng is a generator or a one-lane streams.Streams. A list passed as
+    events receives the trial's event lines, "time node kind detail".
     """
-    (result,) = _lockstep(kind, scheme, link, noise, [rng], [events])
+    (result,) = _lockstep(kind, scheme, link, noise, rng if isinstance(rng, Streams) else [rng], [events])
     return result

@@ -7,10 +7,13 @@ purlink from ROOT/src. The grid is NOP, BASE, HOPT and OPT, with
 measure_before_confirm off and on, times Pumping 0, 2 and 5, the packaged
 dejmps and optimized5 circuits, a three-pair circuit and a lone measurement,
 times four links and three noise settings, times N seeds (default 20:
-13,440 results). Trial s of a cell draws from default_rng((s, cell)), and
+13,440 results). Trial s of a cell draws from default_rng((cell, s)), and
 runs with events= so its event log is kept with its result. With --batch,
 ROOT_B runs each cell's seeds through one run_trials call and keeps no
-logs, so logs are compared only without it.
+logs, so logs are compared only without it. If ROOT_B has the stream
+module, that call draws through streams.Streams((cell,), 0, N) instead of
+through generators, so the grid compares ROOT_A's generator lanes with
+ROOT_B's stream lanes.
 
 It prints the result count, how many timelines (completion time, pairs,
 steps, restarts) are exact, the largest state difference among those,
@@ -145,12 +148,17 @@ def run_grid(root: str, seeds: int, batch: bool) -> dict:
         name, mbc, scheme, link, noise = cell
         args = (ProtocolKind(name, measure_before_confirm=mbc), schemes[scheme],
                 LinkConfig(GROUND, **LINKS[link]), NoiseParams(**NOISES[noise]))
-        rngs = [np.random.default_rng((s, idx)) for s in range(seeds)]
+        rngs = [np.random.default_rng((idx, s)) for s in range(seeds)]
         try:
             if batch:
                 from purlink.protocols import run_trials
 
-                results = run_trials(*args, rngs)
+                try:
+                    from purlink.streams import Streams
+                except ImportError:  # a checkout from before the stream module
+                    results = run_trials(*args, rngs)
+                else:
+                    results = run_trials(*args, Streams((idx,), 0, seeds))
             else:
                 logs = [[] for _ in rngs]
                 results = [run_trial(*args, rng, events=log) for rng, log in zip(rngs, logs)]

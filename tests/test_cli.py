@@ -223,6 +223,25 @@ def test_serial_run_never_imports_the_pool(tmp_path):
     assert fresh_python("-c", script).stdout.splitlines()[-1] == "[]"
 
 
+def test_cli_never_imports_numpy_random(tmp_path):
+    # trials draw from purlink.streams: simulate, sweep and heatmap, each
+    # with its traced trial, leave numpy.random unloaded
+    sim = cfg_file(tmp_path, FAST + "protocols = NOP,BASE\n", "sim.cfg")
+    sweep = cfg_file(tmp_path, FAST + "sweep_param = n_steps\nsweep_values = 1, 2\n", "sweep.cfg")
+    heat = cfg_file(tmp_path, FAST + "sweep_param = f0\nsweep_values = 0.85, 0.9\n"
+                    "sweep_param2 = t2_s\nsweep_values2 = 0.01, 1\n", "heat.cfg")
+    log, csv = str(tmp_path / "events.log"), str(tmp_path / "out.csv")
+    script = (
+        "import sys\n"
+        "from purlink.cli import main\n"
+        f"assert main(['simulate', {sim!r}, '--threads', '1', '--events-log', {log!r}]) == 0\n"
+        f"assert main(['sweep', {sweep!r}, {csv!r}, '--threads', '1', '--events-log', {log!r}]) == 0\n"
+        f"assert main(['heatmap', {heat!r}, {csv!r}, '--threads', '1', '--events-log', {log!r}]) == 0\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    assert fresh_python("-c", script).stdout.splitlines()[-1] == "False"
+
+
 def test_cli_freezes_the_collector_at_exit(tmp_path):
     # atexit runs last in, first out: the observer, registered before the
     # CLI is imported, sees the interpreter after purlink's exit hook ran

@@ -1,9 +1,10 @@
 """Trials in lockstep: a trial's result does not depend on its batch.
 
-run_trials advances one lane per generator through the compiled program
-together; run_trial is its batch of one. Each lane reads its own
-generator's uniforms from prefetched blocks, so lane i of any batch must
-equal run_trial on the same seed, bit for bit.
+run_trials advances one lane per generator, or per lane of a
+streams.Streams, through the compiled program together; run_trial is its
+batch of one. Each lane reads its own stream's uniforms from prefetched
+blocks, so lane i of any batch must equal run_trial on the same seed, bit
+for bit.
 """
 
 import numpy as np
@@ -18,6 +19,7 @@ from purlink.linkmodel import GROUND, LinkConfig
 from purlink.protocols import CircuitScheme, ProtocolKind, Pumping, run_trial, run_trials
 from purlink.purify import parse_circuit
 from purlink.states import from_pauli, pauli_fidelity
+from purlink.streams import Streams
 
 NOISE = NoiseParams(p_g=0.98, p_m=0.99, t1=360.0, t2=0.01)
 LINKS = {
@@ -71,10 +73,23 @@ def test_lane_equals_lone_trial_in_any_batch(name, mbc):
                 assert same(traced, alone[i]), (*where, "traced", i)
             for lo, size in ((0, 100), (3, 7), (42, 1)):
                 rngs = [np.random.default_rng((61, i)) for i in range(lo, lo + size)]
-                batch = run_trials(kind, scheme, link, NOISE, rngs)
-                assert len(batch) == size
-                for i, res in enumerate(batch):
-                    assert same(res, alone[lo + i]), (*where, size, lo + i)
+                for source in (rngs, Streams((61,), lo, lo + size)):  # generator lanes, then stream lanes
+                    batch = run_trials(kind, scheme, link, NOISE, source)
+                    assert len(batch) == size
+                    for i, res in enumerate(batch):
+                        assert same(res, alone[lo + i]), (*where, type(source).__name__, size, lo + i)
+
+
+def test_one_lane_streams_trial_equals_its_generator_trial():
+    # the CLI's traced trial draws a one-lane Streams at index 2^62, events and all
+    link = LINKS["timed"]
+    for kind in (ProtocolKind("NOP"), ProtocolKind("HOPT"), ProtocolKind("OPT", measure_before_confirm=True)):
+        for scheme in (Pumping(2), CircuitScheme(packaged_circuit("dejmps"))):
+            for i in (0, 2**62):
+                a, b = [], []
+                by_rng = run_trial(kind, scheme, link, NOISE, np.random.default_rng((63, 1, i)), events=a)
+                by_streams = run_trial(kind, scheme, link, NOISE, Streams((63, 1), i, i + 1), events=b)
+                assert same(by_rng, by_streams) and a == b, (kind, scheme, i)
 
 
 def test_lanes_draw_only_through_random():

@@ -52,11 +52,14 @@ def skf_bb84(rho: TwoQubitState, mode: str = "qber") -> float:
 
 
 def ci_halfwidth(samples) -> float:
-    """Halfwidth of the normal-approximation 95% CI of the sample mean."""
+    """Halfwidth of the normal-approximation 95% CI of the sample mean; 0.0 if all samples are equal."""
     arr = np.asarray(samples, dtype=float)
     if arr.size < 2:
         raise ValueError("confidence interval needs at least 2 samples")
-    scale = max(float(arr.max()), -float(arr.min()))  # the largest magnitude
+    low, high = float(arr.min()), float(arr.max())
+    if low == high:  # np.std of equal samples can come out a few ulps above 0
+        return 0.0
+    scale = max(high, -low)  # the largest magnitude
     if scale > 1e150:  # squared deviations would overflow: rescale to at most 1
         return scale * ci_halfwidth(arr / scale)
     return 1.96 * float(np.std(arr, ddof=1)) / math.sqrt(arr.size)
@@ -74,6 +77,11 @@ class Estimates:
     converged: bool
     mean_pairs: float  # pairs consumed per delivery
     mean_restarts: float  # episode restarts per delivery
+
+
+def _mean(samples: list) -> float:
+    """The sample mean, exactly the common value when all samples are equal (np.mean may miss it by an ulp)."""
+    return float(samples[0]) if min(samples) == max(samples) else float(np.mean(samples))
 
 
 def _seed_tuple(seed) -> tuple[int, ...]:
@@ -140,8 +148,8 @@ def estimate(
                 restarts.append(res.restarts)
 
     def within_target() -> bool:
-        mean_f = float(np.mean(fids))
-        mean_t = float(np.mean(times))
+        mean_f = _mean(fids)
+        mean_t = _mean(times)
         return (
             ci_halfwidth(fids) < ci_target * mean_f
             and ci_halfwidth(times) < ci_target * mean_t
@@ -154,12 +162,12 @@ def estimate(
         converged = within_target()
 
     n = len(times)
-    mean_t = float(np.mean(times))
+    mean_t = _mean(times)
     ci_t = ci_halfwidth(times)
     rate = 1.0 / mean_t
     mean_state = from_pauli(row_sum / n)
     return Estimates(
-        mean_fidelity=float(np.mean(fids)),
+        mean_fidelity=_mean(fids),
         rate=rate,
         skr=skf_bb84(mean_state, skf_mode) * rate,
         ci_halfwidth_fidelity=ci_halfwidth(fids),

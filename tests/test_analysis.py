@@ -16,7 +16,7 @@ from purlink.analysis import (
 from purlink.channels import NoiseParams
 from purlink.linkmodel import LinkConfig
 from purlink.protocols import BASE, NOP, Pumping, expected_nop_time, run_trial
-from purlink.states import make_werner
+from purlink.states import make_werner, pauli_fidelity
 
 from dense_oracle import check_state
 
@@ -126,6 +126,12 @@ def test_ci_halfwidth_constant_samples():
     assert ci_halfwidth([2.5] * 10) == 0.0
 
 
+def test_ci_halfwidth_of_equal_samples_is_exactly_zero():
+    # np.std of 100 or 225 copies of this value is about 1e-16, not 0
+    for n in (100, 225, 300):
+        assert ci_halfwidth([0.821449872630141] * n) == 0.0
+
+
 def test_ci_halfwidth_needs_two_samples():
     with pytest.raises(ValueError):
         ci_halfwidth([1.0])
@@ -179,6 +185,16 @@ def test_estimate_trial_seeding_contract():
     assert est.mean_fidelity == float(np.mean(fids))
     assert est.rate == 1.0 / float(np.mean(times))
     assert np.array_equal(est.mean_state, from_pauli(row_sum / 100))
+
+
+def test_estimate_deterministic_fidelity_is_exact():
+    # every NOP trial decoheres for the same herald delay, so all 100 trials
+    # deliver one fidelity: the mean is that value and its CI is 0.0
+    link = LinkConfig("ground", d=20.0, mu=1e9, f0=0.9)
+    est = estimate(NOP, Pumping(0), link, DECOHERING, n_min=100, seed=(1001, 0, 0), max_trials=100)
+    one = pauli_fidelity(run_trial(NOP, Pumping(0), link, DECOHERING, np.random.default_rng((1001, 0, 0, 7))).pauli)
+    assert est.mean_fidelity == float(one)
+    assert est.ci_halfwidth_fidelity == 0.0
 
 
 def test_estimate_integer_seed_equals_singleton_tuple():

@@ -20,7 +20,7 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _U32, _S11, _S32, _S58, _S64 = (np.array(v, dtype=np.uint64) for v in (_M32, 11, 32, 58, 64))  # cheaper than ints
 _FIRST, _LAST = 128, 1024  # uniforms in a lane's first block and its largest; a refill draws 4x the last
-_PIECE = 8192  # uniforms per vectorized pass, which keeps its arrays in cache
+_PIECE = 4096  # uniforms per vectorized pass, which keeps its arrays in cache
 
 
 def _words(n) -> list[int]:

@@ -260,9 +260,7 @@ def _compile(circ: PurificationCircuit) -> tuple:
     return tuple(program), runs, tuple(ids), {key: sizes[key] for key in kept}, hand
 
 
-# Each lane prefetches its uniforms in blocks, _MAX_BLOCK at a time from a
-# generator; rng.random(n) yields the same numbers as n scalar draws.
-_MAX_BLOCK = 128
+_MAX_BLOCK = 128  # uniforms a generator's lane prefetches; rng.random(n) yields the same as n scalar draws
 _BATCH_ELEMENTS = 1 << 16  # floats one batch of lanes may hold (see batch_lanes)
 _DRY = (None, None, None)  # what a lane yields when it needs its next block
 

@@ -3,8 +3,9 @@
 default_rng seeds PCG64 through SeedSequence (O'Neill's seed_seq hash), and
 random() is (next64 >> 11) * 2**-53 of its 128-bit LCG s -> M s + inc with
 XSL-RR output (O'Neill, "PCG", HMC-CS-2014-0905); both run here in uint64
-arithmetic over arrays of trials. k steps take s to A_k s + C_k inc, A_k =
-M^k and C_k the sum of M^j for j < k (mod 2^128): one call draws any lanes.
+arithmetic over arrays of trials. k steps take s to M^k s + C_k inc, C_k
+the sum of M^j for j < k (mod 2^128), which is s + C_k w, w = (M - 1) s +
+inc: one product per output, from a table of C_k, draws any lanes at once.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_M32, _M128 = (1 << 32) - 1, (1 << 128) - 1
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED  # SeedSequence's
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
@@ -37,11 +38,32 @@ def _hash(value, const, mult: int):
     return value ^ value >> 16, step
 
 
-def _seed(entropy: list) -> np.ndarray:
-    """Rows (p_hi, c_hi, p_lo, c_lo) of PCG64 seeded from entropy: a word is an int or one per lane.
+def _columns(values: list) -> np.ndarray:
+    """Words (high, low, low & 2^32-1, low >> 32) of 128-bit ints, one column each."""
+    lo, hi = np.frombuffer(b"".join(v.to_bytes(16, "little") for v in values), dtype="<u8").reshape(-1, 2).T
+    return np.stack([hi, lo, lo & _U32, lo >> _S32])
 
-    p is inc + seed, where srandom leaves the state before the step to the first output; c is inc.
-    """
+
+def _times(x_hi, x_lo, t: np.ndarray):
+    """(high, low) words of t_j x (mod 2^128) for each lane's x, a column, and each column of t's words."""
+    t_hi, t_lo, t0, t1 = t
+    x0, x1 = x_lo & _U32, x_lo >> _S32
+    lo = x_lo * t_lo  # the low word, mod 2^64
+    hi = x_hi * t_lo  # the high word: the products that land in it whole,
+    y = np.multiply(x_lo, t_hi)
+    hi += y
+    hi += np.multiply(x1, t1, out=y)
+    mid = np.right_shift(np.multiply(x0, t0), _S32)  # and the carries of x_lo t_lo's limbs; no sum overflows
+    mid += np.multiply(x1, t0, out=y)
+    hi += np.right_shift(mid, _S32, out=y)
+    mid &= _U32
+    mid += np.multiply(x0, t1, out=y)
+    hi += np.right_shift(mid, _S32, out=mid)
+    return hi, lo
+
+
+def _seed(entropy: list) -> np.ndarray:
+    """Rows (p_hi, w_hi, p_lo, w_lo) seeded from entropy (int or per-lane words): p = inc + seed, state M p + inc."""
     const, pool = _INIT_A, []
     for i in range(4):  # SeedSequence.mix_entropy
         word, const = _hash(entropy[i] if i < len(entropy) else 0, const, _MULT_A)
@@ -55,54 +77,22 @@ def _seed(entropy: list) -> np.ndarray:
     # generate_state(4, np.uint64): the pool hashed twice over, uint32 words paired little-endian
     consts = np.array([_INIT_B * pow(_MULT_B, i, 1 << 32) & _M32 for i in range(8)], dtype=np.uint64)
     out, _ = _hash(np.stack(pool * 2), consts[:, None], _MULT_B)
-    seed_hi, seed_lo, seq_hi, seq_lo = out[0::2] | out[1::2] << 32
+    seed_hi, seed_lo, seq_hi, seq_lo = (out[0::2] | out[1::2] << 32)[..., None]
     c_hi, c_lo = seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1  # inc = 2 seq + 1
-    p_lo = c_lo + seed_lo
-    return np.array([c_hi + seed_hi + (p_lo < c_lo), c_hi, p_lo, c_lo])
+    p_hi, p_lo = seed_hi + c_hi + (seed_lo + c_lo < c_lo), seed_lo + c_lo  # 128-bit sums carry from the low word
+    w_hi, w_lo = _times(p_hi, p_lo, _columns([_PCG_MULT - 1]))
+    w_hi, w_lo = w_hi + c_hi + (w_lo + c_lo < c_lo), w_lo + c_lo  # w = (M - 1) p + inc
+    return np.concatenate([p_hi, w_hi, p_lo, w_lo], axis=1).T
 
 
 @lru_cache(maxsize=None)
-def _tables() -> np.ndarray:
-    """Words (high, low, low & 2^32-1, low >> 32) of (A_k, C_k), for k = 0 .. _LAST + 1."""
-    a, c, cols = 1, 0, []
-    for _ in range(_LAST + 2):
-        cols.append([[v >> 64, v & _M64, v & _M32, v >> 32 & _M32] for v in (a, c)])
-        a, c = a * _PCG_MULT & _M128, (c * _PCG_MULT + 1) & _M128
-    return np.array(cols, dtype=np.uint64).transpose(2, 1, 0).copy()
-
-
-def _draw(lanes: np.ndarray, n: int, out: np.ndarray) -> None:
-    """Write n uniforms per lane into out, and step the lanes' (high, low) words of (p, c) past them.
-
-    Output k is from the state A_{k+1} p + C_{k+1} c (mod 2^128), summed in
-    place from 32-bit limb products; the new p is output n's state.
-    """
-    v_hi, v_lo = lanes[..., None]  # (2, lanes, 1): p, c
-    v0, v1 = v_lo & _U32, v_lo >> _S32
-    t_hi, t_lo, t0, t1 = _tables()[:, :, None, 2:n + 2]  # (2, 1, n): A_{k+1}, C_{k+1}
-    x, y, h, z = np.empty((4, 2, *out.shape), dtype=np.uint64)
-    np.multiply(v_lo, t_lo, out=x)
-    lo = x[0] + x[1]  # the low word, mod 2^64
-    np.multiply(v_hi, t_lo, out=h)  # the high word: the products that land in it whole,
-    h += np.multiply(v_lo, t_hi, out=x)
-    h += np.multiply(v1, t1, out=x)
-    np.right_shift(np.multiply(v0, t0, out=x), _S32, out=z)  # and the carries of those below it
-    x &= _U32
-    carry = x[0] + x[1]
-    for a, b in ((v0, t1), (v1, t0)):
-        z += np.bitwise_and(np.multiply(a, b, out=x), _U32, out=y)
-        h += np.right_shift(x, _S32, out=y)
-    carry >>= _S32
-    carry += z[0]
-    carry += z[1]  # the 2^32 column
-    hi = h[0] + h[1]
-    hi += np.right_shift(carry, _S32, out=carry)
-    x, y, rot = x[0], x[1], z[0]  # XSL-RR: rotate right by the top 6 bits; numpy's shift by 64 gives 0
-    np.right_shift(np.bitwise_xor(hi, lo, out=x), np.right_shift(hi, _S58, out=rot), out=y)
-    x <<= np.subtract(_S64, rot, out=rot)
-    x |= y
-    np.multiply(np.right_shift(x, _S11, out=x), 2.0**-53, out=out)
-    lanes[0, 0], lanes[1, 0] = hi[:, -2], lo[:, -2]
+def _table(n: int) -> np.ndarray:
+    """Words of C_2 .. C_{n + 1}, for n outputs, and of M^n, for the next w: (4, lanes of a pass, n + 1)."""
+    c, sums = 1, []
+    for _ in range(n):
+        c = (c * _PCG_MULT + 1) & _M128
+        sums.append(c)
+    return np.repeat(_columns(sums + [pow(_PCG_MULT, n, 1 << 128)])[:, None], max(1, _PIECE // n), axis=1)
 
 
 class Streams:
@@ -122,7 +112,7 @@ class Streams:
             low = np.arange(lo & _M32, (end - 1 & _M32) + 1, dtype=np.uint64)
             parts.append(_seed(base + [low] + (_words(top) if top else [])))
             lo = end
-        self.lanes = np.concatenate(parts, axis=1).reshape(2, 2, -1)  # (high, low) words of (p, c)
+        self.lanes = np.concatenate(parts, axis=1).reshape(2, 2, -1)  # (high, low) words of (p, w)
         self.sizes: dict = {}  # row -> uniforms its next block holds, if not _FIRST
 
     def __len__(self) -> int:
@@ -131,9 +121,20 @@ class Streams:
     def refill(self, rows: list) -> list:
         n = max((self.sizes.get(row, _FIRST) for row in rows), default=_FIRST)
         self.sizes.update(dict.fromkeys(rows, min(4 * n, _LAST)))
-        lanes, u, step = self.lanes[:, :, rows], np.empty((len(rows), n)), max(1, _PIECE // n)
-        for j in range(0, len(rows), step):
-            _draw(lanes[:, :, j:j + step], n, u[j:j + step])
-        self.lanes[:, 0, rows] = lanes[:, 0]
-        u = array("d", u.tobytes())
-        return [u[j:j + n] for j in range(0, len(u), n)]
+        t, lanes, u = _table(n), self.lanes[:, :, rows], np.empty((len(rows), n + 1))
+        for j in range(0, len(rows), t.shape[1]):  # a pass: output k is from the state p + C_{k+1} w
+            (p_hi, w_hi), (p_lo, w_lo) = part = lanes[:, :, j:j + t.shape[1], None]
+            hi, lo = _times(w_hi, np.repeat(w_lo, n + 1, axis=1), t[:, :len(p_hi)])
+            part[:, 1] = hi[:, n:], lo[:, n:]  # the next w, M^n w
+            lo += p_lo
+            hi += p_hi + (lo < p_lo)  # the carry
+            part[:, 0] = hi[:, n - 2:n - 1], lo[:, n - 2:n - 1]  # the next p, the state before output n
+            x = hi ^ lo  # XSL-RR: rotate right by the top 6 bits; numpy's shift by 64 gives 0
+            rot = np.right_shift(hi, _S58, out=hi)
+            y = x >> rot
+            x <<= np.subtract(_S64, rot, out=rot)
+            x |= y
+            np.multiply(np.right_shift(x, _S11, out=x), 2.0**-53, out=u[j:j + t.shape[1]])
+        self.lanes[:, :, rows] = lanes
+        u = array("d", u.tobytes())  # column n of each lane is not an output
+        return [u[j:j + n] for j in range(0, len(u), n + 1)]

@@ -1,10 +1,10 @@
 """Monte Carlo estimation with confidence-interval control, and BB84 key metrics.
 
-estimate() runs trials in lockstep batches (protocols.run_trials) until the
+estimate() runs trials in lockstep batches (protocols._lockstep) until the
 95% CI halfwidths of both the mean fidelity and the delivery rate fall below
 a relative target, then scores the trial-averaged state with the BB84
-secret-key fraction. Delivered pairs stay flat Pauli rows (TrialResult.pauli):
-the mean row becomes a density matrix once per estimate.
+secret-key fraction. It reads the engine's delivered flat Pauli rows and
+counts, with no TrialResult: the mean row becomes a density matrix once.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from .channels import NoiseParams
 from .linkmodel import LinkConfig
-from .protocols import ProtocolKind, Scheme, batch_lanes, run_trials
+from .protocols import ProtocolKind, Scheme, _lockstep, batch_lanes
 from .states import TwoQubitState, from_pauli, pauli_fidelity, to_pauli
 from .streams import Streams
 
@@ -109,9 +109,9 @@ def estimate(
     both the fidelity and the rate is below ci_target of the respective
     mean. Trial i draws from a generator seeded with (*seed, i), so results
     are reproducible and independent of batching. Each batch runs through
-    run_trials in chunks of protocols.batch_lanes trials, so memory does not
-    grow with n_min. If the cap is reached first the result is flagged
-    converged=False but still reported.
+    the lockstep engine in chunks of protocols.batch_lanes trials, so memory
+    does not grow with n_min. If the cap is reached first the result is
+    flagged converged=False but still reported.
 
     The SKR applies skf_bb84 to the trial-averaged density matrix, not to
     per-trial states, and multiplies by the delivery rate.
@@ -138,14 +138,14 @@ def estimate(
         nonlocal row_sum
         start = len(times)
         for lo in range(start, start + count, chunk):
-            results = run_trials(kind, scheme, link, noise, Streams(base, lo, min(lo + chunk, start + count)))
-            rows = np.array([res.pauli for res in results])
+            streams = Streams(base, lo, min(lo + chunk, start + count))
+            done, rows = _lockstep(kind, scheme, link, noise, streams, [None] * len(streams))
             fids.extend(pauli_fidelity(rows).tolist())
             row_sum = np.add.reduce(np.vstack((row_sum, rows)), axis=0)  # in trial order, whatever the chunk
-            for res in results:
-                times.append(res.completion_time)
-                pairs.append(res.pairs_consumed)
-                restarts.append(res.restarts)
+            for t, n_pairs, _, n_restarts in done:
+                times.append(t)
+                pairs.append(n_pairs)
+                restarts.append(n_restarts)
 
     def within_target() -> bool:
         mean_f = _mean(fids)

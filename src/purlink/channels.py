@@ -167,12 +167,20 @@ def decay_transfer(dts, noise: NoiseParams) -> np.ndarray:
     return t.reshape(-1, 4, 4)
 
 
-def decohere_lanes(r: np.ndarray, pair: int, t: np.ndarray) -> np.ndarray:
-    """Apply lane i's T (see decay_transfer) to both axes of pair `pair` of row i of r.
+def decohere_lanes(r: np.ndarray, pair: int, dts: list, noise: NoiseParams) -> np.ndarray:
+    """Store pair `pair` of row i of r for dts[i] seconds: decay_transfer's T on both its axes.
 
-    r holds one flat register per row. Each lane takes the same two stacked
-    products whatever the batch, so a lane's result does not depend on it.
+    r holds one flat register per row. A zero duration leaves its row as it
+    is, and a negative one raises ValueError. The other lanes take the same
+    two stacked products whatever the batch, so no lane's result depends on it.
     """
+    busy = [j for j, dt in enumerate(dts) if dt != 0.0]
+    if len(busy) < len(dts):
+        if busy:
+            r = r.copy()
+            r[busy] = decohere_lanes(r[busy], pair, [dts[j] for j in busy], noise)
+        return r
+    t = decay_transfer(dts, noise)
     lanes, size = r.shape
     if size == 16:  # a lone pair: T R T^T
         return np.matmul(np.matmul(t, r.reshape(lanes, 4, 4)), t.transpose(0, 2, 1)).reshape(lanes, 16)

@@ -67,7 +67,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .channels import NoiseParams, decay_transfer, decohere_lanes, measure_branches, sample_branches
+from .channels import NoiseParams, decohere_lanes, measure_branches, sample_branches
 from .linkmodel import LinkConfig, attempt_success_prob, link_delays, per_photon_survival
 from .purify import Gate, Measure, PurificationCircuit, Rot, _pump_step, _step_tables, clifford_lanes
 from .states import TwoQubitState, from_pauli, make_werner, to_pauli
@@ -260,16 +260,16 @@ def _compile(circ: PurificationCircuit) -> tuple:
     return tuple(program), runs, tuple(ids), {key: sizes[key] for key in kept}, hand
 
 
-_MAX_BLOCK = 128  # uniforms a generator's lane prefetches; rng.random(n) yields the same as n scalar draws
+_FIRST_BLOCK, _LAST_BLOCK = 128, 1024  # uniforms in a lane's first block and its largest; a refill draws 4x the last
 _BATCH_ELEMENTS = 1 << 16  # floats one batch of lanes may hold (see batch_lanes)
 _DRY = (None, None, None)  # what a lane yields when it needs its next block
 
 
 class _Generators(list):
-    """Generators as a block source: each dry lane draws rng.random(_MAX_BLOCK); a stand-in may return fewer."""
+    """Generators as a block source: each listed lane draws rng.random(n); a stand-in may return fewer."""
 
-    def refill(self, rows) -> list:
-        return [array("d", self[row].random(_MAX_BLOCK).tobytes()) for row in rows]
+    def refill(self, rows, n: int) -> list:
+        return [array("d", self[row].random(n).tobytes()) for row in rows]
 
 
 class _Batch:
@@ -277,30 +277,22 @@ class _Batch:
 
     A register named by its pairs lives in row i of store[pairs] for lane i.
     An op runs once per group of lanes: it decoheres each operand for its
-    lane's duration (rows with none keep theirs), then steps, measures,
-    gates or delivers through the stacked channels, so a lane's numbers do
-    not depend on the batch.
+    lane's duration, then steps, measures, gates or delivers through the
+    stacked channels, so a lane's numbers do not depend on the batch. A
+    delivery writes its lanes' rows of delivered.
     """
 
     def __init__(self, noise: NoiseParams, werner: np.ndarray, kept: dict, lanes: int):
         self.noise = noise
         self.werner = werner
         self.store = {key: np.empty((lanes, size)) for key, size in kept.items()}
+        self.delivered = np.empty((lanes, 16))
         self.tables = _step_tables(self.noise.p_g, self.noise.p_m)
-
-    def decohere(self, r: np.ndarray, pair: int, dts: list) -> np.ndarray:
-        busy = [j for j, dt in enumerate(dts) if dt > 0.0]
-        if len(busy) == len(dts):
-            return decohere_lanes(r, pair, decay_transfer(dts, self.noise))
-        if busy:
-            r = r.copy()
-            r[busy] = decohere_lanes(r[busy], pair, decay_transfer([dts[j] for j in busy], self.noise))
-        return r
 
     def run(self, ops: tuple, ix: np.ndarray, dts: tuple, us: tuple):
         """Apply a run of ops to the lanes ix, dts[i][j] holding lane i's durations for op j.
 
-        Returns the last op's outcome lists, or the delivered (lanes, 16) rows.
+        Returns the last op's outcome lists, or None after a delivery.
         Registers pass from op to op in hand and are stored at the end.
         """
         held: dict = {}
@@ -313,10 +305,11 @@ class _Batch:
                     r = np.tile(self.werner, (len(ix), 1))
                 else:
                     r = held.pop(key) if key in held else self.store[key][ix]
-                regs[key] = self.decohere(r, pair, [d[j][n] for d in dts])
+                regs[key] = decohere_lanes(r, pair, [d[j][n] for d in dts], self.noise)
             rs = list(regs.values())
             if code == _DELIVER:
-                return rs[0]
+                self.delivered[ix] = rs[0]
+                return None
             if code == _STEP:
                 *outcome, post, _ = _pump_step(self.tables, rs[0], rs[1], us)
             elif code == _MEASURE:
@@ -333,7 +326,7 @@ class _Batch:
 
 def _lockstep(
     kind: ProtocolKind, scheme: Scheme, link: LinkConfig, noise: NoiseParams, source, logs
-) -> list[TrialResult]:
+) -> tuple[list, np.ndarray]:
     """Run one lane per trial of source, generators or a Streams, from empty memories until each delivers.
 
     Each lane is a generator, trial, that tells its trial in program order.
@@ -342,14 +335,18 @@ def _lockstep(
     references, reading the lane's prefetched uniforms two per source tick,
     then waits until its operands are usable. At each step or measurement
     the lane yields (run id, durations, uniforms) for the run of ops it
-    walked, and is sent the outcomes (out_a, out_b). At delivery it yields
-    (run id, durations, None), is sent the delivered row and yields its
-    TrialResult. The lanes are grouped by run id, and each group runs once
-    through _Batch. A lane out of uniforms yields _DRY and is sent its next
-    block: the lanes that ran dry in a pass get theirs from one
-    source.refill at its end. A lane takes its uniforms in the order a lone
-    trial would and its arithmetic lane by lane, so its result is the same
-    alone and in a batch of any size.
+    walked, and is sent the outcomes (out_a, out_b). At delivery it records
+    done[row] = (completion time, pairs consumed, steps completed, restarts)
+    and yields (run id, durations, None), its last yield; its group writes
+    row `row` of delivered, (lanes, 16). Returns (done, delivered). The
+    lanes are grouped by run id, and each group runs once through _Batch.
+    A lane out of uniforms, as every lane is at its first draw, yields _DRY
+    and is sent its next block: the lanes that ran dry in a pass get theirs
+    from one source.refill(rows, n) at its end, n the largest block any of
+    them is due (_FIRST_BLOCK at first, then 4x its last, up to
+    _LAST_BLOCK). A lane takes its uniforms
+    in the order a lone trial would and its arithmetic lane by lane, so its
+    result is the same alone and in a batch of any size.
 
     Pairs take memory slots in arrival order; a slot frees at the
     measurement of the pair holding it, and under BASE a new pair is also
@@ -382,17 +379,18 @@ def _lockstep(
     werner = to_pauli(make_werner(link.f0)).reshape(16)  # the source pair, flat
     lag = 0.0 if opt else herald  # the others use a pair once heralded
     hold = None if opt else 0.0 if kind.name == "NOP" else herald
-    gate_time, measure_time = link.gate_time, link.measure_time
+    gate_of = [link.gate_time if code == _STEP or code == _GATE else 0.0 for code, *_ in program]
+    measure_of = [link.measure_time if code == _STEP or code == _MEASURE else 0.0 for code, *_ in program]
     if blind:
-        op_dur = gate_time + measure_time
+        op_dur = link.gate_time + link.measure_time
         stride = 1 if op_dur <= 0.0 else max(1, math.ceil(op_dur / period - _TICK_EPS))
         span = circ.num_pairs * stride  # ticks one round takes
         q_round = (p_photon * p_photon) ** circ.num_pairs  # every photon of a round survives
         log_lost = math.log1p(-q_round) if q_round < 1.0 else None
 
-    def trial(events: Optional[list], row: int, buf: array):
+    def trial(events: Optional[list], row: int):
         """One lane, row of the batch's store; events is its caller's list, None when untraced."""
-        i, end = 0, len(buf) - 1  # buf: prefetched uniforms, the next one, and len(buf) - 1
+        buf, i, end = array("d"), 0, -1  # prefetched uniforms, the next one, and len(buf) - 1
         pairs = restarts = 0
         usable = [0.0] * circ.num_pairs  # local time from which each pair may be used
         touched = [0.0] * circ.num_pairs  # time each pair is decohered up to
@@ -496,9 +494,8 @@ def _lockstep(
                     if events is not None:
                         _event(events, completion, "AB", "delivered", f"pair={circ.survivor}")
                     dts.append((completion - touched[circ.survivor],))
-                    state = yield runs[start], dts, None
-                    yield TrialResult(completion, state, pairs, steps, restarts)
-                    return
+                    done[row] = completion, pairs, steps, restarts
+                    yield runs[start], dts, None
                 tau = t_local
                 for p in operands:
                     if usable[p] > tau:
@@ -506,14 +503,7 @@ def _lockstep(
                 if tau >= mismatch_resolve:
                     ref = mismatch_resolve  # the failure message crossed first
                     break
-                if code == _STEP:
-                    tau_end = tau + gate_time + measure_time
-                elif code == _GATE:
-                    tau_end = tau + gate_time
-                elif code == _MEASURE:
-                    tau_end = tau + measure_time
-                else:
-                    tau_end = tau
+                tau_end = tau + gate_of[pc] + measure_of[pc]
                 dts.append([tau_end - touched[p] for p in operands])
                 for p in operands:
                     touched[p] = tau_end
@@ -552,8 +542,9 @@ def _lockstep(
 
     source = source if isinstance(source, Streams) else _Generators(source)
     batch = _Batch(noise, werner, kept, len(source))
-    lanes = [trial(*lane) for lane in zip(logs, range(len(logs)), source.refill(list(range(len(logs)))))]
-    results: list = [None] * len(lanes)
+    done: list = [None] * len(logs)
+    due = [_FIRST_BLOCK] * len(logs)  # the size of each lane's next block
+    lanes = [trial(events, row) for row, events in enumerate(logs)]
     groups = defaultdict(list)  # run id -> (row, durations, uniforms) of each lane that walked it
     for row, lane in enumerate(lanes):
         ident, dts, u = next(lane)
@@ -561,23 +552,23 @@ def _lockstep(
     while groups:
         while None in groups:  # the lanes that ran dry this pass, served in one call
             rows = [row for row, _, _ in groups.pop(None)]
-            for row, block in zip(rows, source.refill(rows)):
+            n = max(due[row] for row in rows)
+            for row, block in zip(rows, source.refill(rows, n)):
+                due[row] = min(4 * n, _LAST_BLOCK)
                 ident, dts, u = lanes[row].send(block)
                 groups[ident].append((row, dts, u))
         current, groups = groups, defaultdict(list)
         for ident, members in current.items():
             rows, dts, us = zip(*members)
-            ops = run_ops[ident]
-            outcome = batch.run(ops, np.array(rows), dts, us)
-            if ops[-1][0] == _DELIVER:
-                for row, state in zip(rows, outcome):
-                    results[row] = lanes[row].send(state)
+            outcome = batch.run(run_ops[ident], np.array(rows), dts, us)
+            if outcome is None:  # delivered: the lanes are done
+                for row in rows:
                     lanes[row] = None  # frees its uniforms and generator
             else:
                 for row, a, b in zip(rows, *outcome):
                     ident, dts, u = lanes[row].send((a, b))
                     groups[ident].append((row, dts, u))
-    return results
+    return done, batch.delivered
 
 
 def plan(kind: ProtocolKind, scheme: Scheme) -> tuple[ProtocolKind, PurificationCircuit, bool]:
@@ -607,17 +598,20 @@ def run_trials(
     run_trial(kind, scheme, link, noise, rngs[i]) whatever the batch. Each
     generator may be advanced past its trial's last draw. rngs may be a streams.Streams instead.
     """
-    return _lockstep(kind, scheme, link, noise, rngs, [None] * len(rngs))
+    done, delivered = _lockstep(kind, scheme, link, noise, rngs, [None] * len(rngs))
+    return [TrialResult(t, row, pairs, steps, restarts) for (t, pairs, steps, restarts), row in zip(done, delivered)]
 
 
 def batch_lanes(kind: ProtocolKind, scheme: Scheme) -> int:
     """How many trials one run_trials call should hold: a fixed float budget per batch.
 
-    A lane holds its prefetch block, the registers kept in the store and,
-    while a run executes, at most the largest register held only in hand.
+    A lane is charged its first block of uniforms, the registers kept in the
+    store and, while a run executes, at most the largest register held only
+    in hand. A lane that runs dry draws larger blocks, up to _LAST_BLOCK,
+    which the budget does not charge.
     """
     _, _, _, kept, hand = _compile(plan(kind, scheme)[1])
-    return max(1, _BATCH_ELEMENTS // (_MAX_BLOCK + sum(kept.values()) + hand))
+    return max(1, _BATCH_ELEMENTS // (_FIRST_BLOCK + sum(kept.values()) + hand))
 
 
 def run_trial(
@@ -634,5 +628,6 @@ def run_trial(
     rng is a generator or a one-lane streams.Streams. A list passed as
     events receives the trial's event lines, "time node kind detail".
     """
-    (result,) = _lockstep(kind, scheme, link, noise, rng if isinstance(rng, Streams) else [rng], [events])
-    return result
+    source = rng if isinstance(rng, Streams) else [rng]
+    ((t, pairs, steps, restarts),), (row,) = _lockstep(kind, scheme, link, noise, source, [events])
+    return TrialResult(t, row, pairs, steps, restarts)

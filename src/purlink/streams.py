@@ -20,7 +20,6 @@ _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _U32, _S11, _S32, _S58, _S64 = (np.array(v, dtype=np.uint64) for v in (_M32, 11, 32, 58, 64))  # cheaper than ints
-_FIRST, _LAST = 128, 1024  # uniforms in a lane's first block and its largest; a refill draws 4x the last
 _PIECE = 4096  # uniforms per vectorized pass, which keeps its arrays in cache
 
 
@@ -98,9 +97,9 @@ def _table(n: int) -> np.ndarray:
 class Streams:
     """The uniforms default_rng((*seed, i)).random() draws, for trial i = lo + j in lane j < hi - lo.
 
-    refill(rows) returns each listed lane's next block, an array("d"), from
-    one draw of the largest size any of them is due: _FIRST at first, then
-    4x its last, up to _LAST. A negative word raises ValueError, as in numpy.
+    refill(rows, n) returns each listed lane's next n >= 2 uniforms, an
+    array("d"), from one vectorized draw. A negative word raises ValueError,
+    as in numpy.
     """
 
     def __init__(self, seed, lo: int, hi: int):
@@ -113,14 +112,11 @@ class Streams:
             parts.append(_seed(base + [low] + (_words(top) if top else [])))
             lo = end
         self.lanes = np.concatenate(parts, axis=1).reshape(2, 2, -1)  # (high, low) words of (p, w)
-        self.sizes: dict = {}  # row -> uniforms its next block holds, if not _FIRST
 
     def __len__(self) -> int:
         return self.lanes.shape[2]
 
-    def refill(self, rows: list) -> list:
-        n = max((self.sizes.get(row, _FIRST) for row in rows), default=_FIRST)
-        self.sizes.update(dict.fromkeys(rows, min(4 * n, _LAST)))
+    def refill(self, rows: list, n: int) -> list:
         t, lanes, u = _table(n), self.lanes[:, :, rows], np.empty((len(rows), n + 1))
         for j in range(0, len(rows), t.shape[1]):  # a pass: output k is from the state p + C_{k+1} w
             (p_hi, w_hi), (p_lo, w_lo) = part = lanes[:, :, j:j + t.shape[1], None]

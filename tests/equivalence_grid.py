@@ -9,13 +9,14 @@ dejmps and optimized5 circuits, a three-pair circuit and a lone measurement,
 times four links and three noise settings, times N seeds (default 20:
 13,440 results). Trial s of a cell draws from default_rng((cell, s)), and
 runs with events= so its event log is kept with its result. With --batch,
-ROOT_B runs each cell's seeds through one run_trials call and keeps no
-logs, so logs are compared only without it. If ROOT_B has the stream
-module, that call draws through streams.Streams((cell,), 0, N) instead of
-through generators, so the grid compares ROOT_A's generator lanes with
-ROOT_B's stream lanes.
+ROOT_B runs each cell's seeds through run_trials, once per block source,
+and keeps no logs, so logs are compared only without it: once with a list
+of the N generators, and, if ROOT_B has the stream module, once more with
+streams.Streams((cell,), 0, N). ROOT_A's lone trials are compared with
+each, so both the generator lanes' block schedule and the stream lanes are
+checked against one reference.
 
-It prints the result count, how many timelines (completion time, pairs,
+Each comparison prints the result count, how many timelines (completion time, pairs,
 steps, restarts) are exact, the largest state difference among those,
 every flipped draw (a cell and seed whose timeline differs), and how many
 event logs were compared and differ, with the first differing line of
@@ -128,8 +129,12 @@ def cells():
         yield (name, mbc, scheme, link, noise)
 
 
-def run_grid(root: str, seeds: int, batch: bool) -> dict:
-    """{(cell, seed): (time, pairs, steps, restarts, state[, event log]) or error text}."""
+def run_grid(root: str, seeds: int, source: str) -> dict:
+    """{(cell, seed): (time, pairs, steps, restarts, state[, event log]) or error text}.
+
+    source is "lone" (run_trial per seed, with events), "generators" or
+    "streams" (one run_trials call per cell from that block source).
+    """
     sys.path.insert(0, str(Path(root, "src").resolve()))
     import numpy as np
     from purlink import CircuitScheme, LinkConfig, NoiseParams, ProtocolKind, Pumping, parse_circuit, run_trial
@@ -150,25 +155,24 @@ def run_grid(root: str, seeds: int, batch: bool) -> dict:
                 LinkConfig(GROUND, **LINKS[link]), NoiseParams(**NOISES[noise]))
         rngs = [np.random.default_rng((idx, s)) for s in range(seeds)]
         try:
-            if batch:
-                from purlink.protocols import run_trials
-
-                try:
-                    from purlink.streams import Streams
-                except ImportError:  # a checkout from before the stream module
-                    results = run_trials(*args, rngs)
-                else:
-                    results = run_trials(*args, Streams((idx,), 0, seeds))
-            else:
+            if source == "lone":
                 logs = [[] for _ in rngs]
                 results = [run_trial(*args, rng, events=log) for rng, log in zip(rngs, logs)]
+            else:
+                from purlink.protocols import run_trials
+
+                if source == "streams":
+                    from purlink.streams import Streams
+
+                    rngs = Streams((idx,), 0, seeds)
+                results = run_trials(*args, rngs)
         except Exception as exc:  # recorded, compared like a result
             results = [f"{type(exc).__name__}: {exc}"] * seeds
         for s, r in enumerate(results):
             out[cell, s] = r if isinstance(r, str) else (
                 r.completion_time, r.pairs_consumed, r.steps_completed, r.restarts,
                 r.pauli if hasattr(r, "pauli") else r.output_state,
-                *(() if batch else (tuple(logs[s]),)))
+                *((tuple(logs[s]),) if source == "lone" else ()))
     return out
 
 
@@ -284,32 +288,39 @@ def src_lines(root: str) -> int:
 
 
 def main(argv: list[str]) -> int:
-    if argv and argv[0] == "--dump":  # child: ROOT SEEDS BATCH OUT
-        root, seeds, batch, out = argv[1:]
-        Path(out).write_bytes(pickle.dumps(run_grid(root, int(seeds), batch == "1")))
+    if argv and argv[0] == "--dump":  # child: ROOT SEEDS SOURCE OUT
+        root, seeds, source, out = argv[1:]
+        Path(out).write_bytes(pickle.dumps(run_grid(root, int(seeds), source)))
         return 0
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("root_a")
     parser.add_argument("root_b")
     parser.add_argument("--seeds", type=int, default=20)
-    parser.add_argument("--batch", action="store_true", help="run ROOT_B's cells through run_trials")
+    parser.add_argument("--batch", action="store_true", help="run ROOT_B's cells through run_trials, per block source")
     parser.add_argument("--cli", action="store_true", help="compare CLI outputs instead of run_trial results")
     args = parser.parse_args(argv)
     if args.cli:
         with tempfile.TemporaryDirectory() as tmp:
             status = compare_cli(*(run_cli(root, Path(tmp)) for root in (args.root_a, args.root_b)))
     else:
+        sources = ["lone"]
+        if args.batch:  # a checkout from before the stream module has only generator lanes
+            has_streams = Path(args.root_b, "src", "purlink", "streams.py").exists()
+            sources = ["generators", "streams"] if has_streams else ["generators"]
         grids = []
         with tempfile.TemporaryDirectory() as tmp:
-            for n, (root, batch) in enumerate(((args.root_a, False), (args.root_b, args.batch))):
+            for n, (root, source) in enumerate([(args.root_a, "lone")] + [(args.root_b, s) for s in sources]):
                 out = Path(tmp, f"grid{n}.pkl")
-                subprocess.run([sys.executable, __file__, "--dump", root, str(args.seeds), "1" if batch else "0",
-                                str(out)], check=True)
+                subprocess.run([sys.executable, __file__, "--dump", root, str(args.seeds), source, str(out)],
+                               check=True)
                 grids.append(pickle.loads(out.read_bytes()))
         sys.path.insert(0, str(Path(args.root_b, "src").resolve()))
         from purlink.states import from_pauli
 
-        status = compare(*grids, from_pauli)
+        status = 0
+        for source, grid in zip(sources, grids[1:]):
+            print(f"ROOT_A lone trials against ROOT_B {source}:")
+            status = max(status, compare(grids[0], grid, from_pauli))
     print(f"src/purlink lines: {src_lines(args.root_a)} -> {src_lines(args.root_b)}")
     return status
 

@@ -52,7 +52,7 @@ BRANCH_UNIFORMS = ((0.0, 0.0), (0.0, HI), (HI, 0.0), (HI, HI))  # (+,+), (+,-), 
 
 def decohere_one(r, pair, dt, noise):
     """The memory channel for dt on pair `pair` of one register: decohere_lanes as a batch of one."""
-    return decohere_lanes(r.reshape(1, -1), pair, decay_transfer([dt], noise)).reshape(r.shape)
+    return decohere_lanes(r.reshape(1, -1), pair, [dt], noise).reshape(r.shape)
 
 
 def clifford_one(r, op, pairs, p_g=1.0):
@@ -465,6 +465,24 @@ def test_pair_decohere_checks():
     assert np.array_equal(decohere_one(r, 0, 0.0, NoiseParams()), r)
     with pytest.raises(ValueError):
         decohere_one(r, 0, -1.0, NoiseParams())
+
+
+def test_decohere_lanes_keeps_zero_duration_rows_and_refuses_negative_ones():
+    # rows stored for no time come back bit for bit, beside rows that decohere
+    # in the same call; a negative duration raises even among zeros
+    noise = NoiseParams(t2=0.5)
+    w = to_pauli(make_werner(0.8))
+    for r in (np.tile(w.reshape(16), (3, 1)), np.tile(np.multiply.outer(w, w).reshape(256), (3, 1))):
+        r[0] *= -1.0  # -0.0 entries, which T's products would turn to 0.0
+        before = r.copy()
+        out = decohere_lanes(r, 0, [0.0, 0.2, 0.0], noise)
+        assert out[0].tobytes() == r[0].tobytes() and out[2].tobytes() == r[2].tobytes()
+        assert np.array_equal(out[1], decohere_lanes(r[1:2], 0, [0.2], noise)[0])
+        assert r.tobytes() == before.tobytes()  # the input is not written
+        assert decohere_lanes(r, 0, [0.0] * 3, noise) is r
+        for dts in ([0.1, -1.0, 0.2], [0.0, -1.0, 0.0]):
+            with pytest.raises(ValueError):
+                decohere_lanes(r, 0, dts, noise)
 
 
 def test_decohere_identity_at_zero():

@@ -151,12 +151,80 @@ def test_batch_lanes_is_bounded_by_the_element_budget():
         Pumping(0), Pumping(5), CircuitScheme(packaged_circuit("optimized5")), CircuitScheme(parse_circuit(THREE_PAIR))
     ):
         lanes = protocols.batch_lanes(ProtocolKind("BASE"), scheme)
-        assert 1 <= lanes <= protocols._BATCH_ELEMENTS // protocols._MAX_BLOCK
+        assert 1 <= lanes <= protocols._BATCH_ELEMENTS // protocols._FIRST_BLOCK
     # a wider register means fewer lanes per batch
     assert protocols.batch_lanes(ProtocolKind("BASE"), CircuitScheme(parse_circuit(THREE_PAIR))) < (
         protocols.batch_lanes(ProtocolKind("BASE"), Pumping(5))
     )
     assert protocols.batch_lanes(ProtocolKind("OPT", measure_before_confirm=True), Pumping(2)) >= 1
+
+
+class AskedFor(OnlyRandom):
+    """A generator stand-in that records the size of every block it is asked for."""
+
+    __slots__ = ("asked",)
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.asked = []
+
+    def random(self, size=None):
+        self.asked.append(size)
+        return super().random(size)
+
+
+def test_generator_lane_blocks_grow_128_512_then_1024():
+    # a long OPT trial at 20 km: 654 pairs over 824 restarts
+    kind, scheme, link = ProtocolKind("OPT"), Pumping(5), LINKS["lossy"]
+    lane = AskedFor((64, 1))
+    res = run_trial(kind, scheme, link, NOISE, lane)
+    assert lane.asked[:4] == [128, 512, 1024, 1024] and set(lane.asked[4:]) <= {1024}
+    assert same(res, run_trial(kind, scheme, link, NOISE, np.random.default_rng((64, 1))))
+
+
+class CutStreams(Streams):
+    """Streams that records each refill, (rows, n), and cuts lane 0's blocks to 4 uniforms.
+
+    Lane 0 runs dry far more often than the others, so some refills serve
+    lanes due blocks of different sizes.
+    """
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.calls = []
+
+    def refill(self, rows, n):
+        self.calls.append((list(rows), n))
+        return [block[:4] if row == 0 else block for row, block in zip(rows, super().refill(rows, n))]
+
+
+def test_a_refill_draws_the_largest_block_its_lanes_are_due():
+    streams = CutStreams((66,), 0, 6)
+    run_trials(ProtocolKind("OPT"), Pumping(3), LINKS["lossy"], NOISE, streams)
+    assert streams.calls[0] == (list(range(6)), 128)  # every lane's first block, in one call
+    due, mixed = dict.fromkeys(range(6), 512), 0
+    for rows, n in streams.calls[1:]:
+        assert n == max(due[row] for row in rows), (rows, n)
+        mixed += len({due[row] for row in rows}) > 1
+        due.update(dict.fromkeys(rows, min(4 * n, 1024)))  # 4x the last block, up to 1024
+    assert mixed
+
+
+def test_estimate_builds_no_trial_result(monkeypatch):
+    # estimate reads the engine's arrays; only run_trial and run_trials build TrialResult
+    kind, scheme, link = ProtocolKind("HOPT"), Pumping(2), LINKS["timed"]
+    want = estimate(kind, scheme, link, NOISE, n_min=100, seed=(8, 4), max_trials=100)
+
+    def refuse(*args):
+        raise AssertionError("TrialResult built")
+
+    monkeypatch.setattr(protocols, "TrialResult", refuse)
+    got = estimate(kind, scheme, link, NOISE, n_min=100, seed=(8, 4), max_trials=100)
+    assert (got.mean_fidelity, got.rate, got.n_trials, got.mean_pairs, got.mean_restarts) == (
+        want.mean_fidelity, want.rate, want.n_trials, want.mean_pairs, want.mean_restarts
+    )
+    with pytest.raises(AssertionError, match="TrialResult built"):
+        run_trials(kind, scheme, link, NOISE, [np.random.default_rng((8, 4, 0))])
 
 
 class RecordingStore(dict):
@@ -212,7 +280,7 @@ def test_store_holds_only_the_registers_compile_keeps(name, mbc, monkeypatch):
         assert written <= set(kept), (name, mbc, scheme)
         (store,) = stores
         stored = sum(dict.__getitem__(store, key).shape[1] for key in store)
-        assert lanes * (protocols._MAX_BLOCK + stored + in_hand) <= protocols._BATCH_ELEMENTS, (name, mbc, scheme)
+        assert lanes * (protocols._FIRST_BLOCK + stored + in_hand) <= protocols._BATCH_ELEMENTS, (name, mbc, scheme)
     assert protocols.batch_lanes(kind, CircuitScheme(packaged_circuit("optimized5"))) >= 150
 
 

@@ -299,7 +299,7 @@ def stored_intervals(monkeypatch, kind, scheme, seed):
 
     _Batch.run is wrapped to append (ops, durations) to the trial's event
     list, so the log shows what the state kernels apply, in order. A pair
-    opens at pair_stored; each load of it adds the duration _Batch.decohere
+    opens at pair_stored; each load of it adds the duration decohere_lanes
     applies, the pair being key[pos], or the last stored pair for a step's
     sacrifice; measure, purify_step (its sacrifice) and delivered close it.
     A delivered line is written before its op runs, so the sums are settled

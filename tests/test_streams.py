@@ -12,11 +12,16 @@ from purlink.streams import Streams
 
 
 def drawn(streams, refills):
-    """Each lane's uniforms over refills calls; each call serves a different subset of lanes."""
+    """Each lane's uniforms over refills calls; each call serves a different subset of lanes.
+
+    The calls draw blocks of 128, 512 and then 1024 uniforms, as the lockstep engine asks.
+    """
     lanes = [[] for _ in range(len(streams))]
     for r in range(refills):
         rows = [j for j in range(len(streams)) if r == 0 or (j + r) % 3]  # lanes are dry at different passes
-        for j, block in zip(rows, streams.refill(rows)):
+        n = min(128 * 4**r, 1024)
+        for j, block in zip(rows, streams.refill(rows, n)):
+            assert len(block) == n
             lanes[j].extend(block)
     return lanes
 
@@ -61,18 +66,12 @@ def test_events_log_index_2_to_the_62():
 
 
 def test_refills_grow_and_each_lane_continues_its_own_stream():
-    streams = Streams((8,), 0, 6)
-    sizes = [len(block) for block in streams.refill([0, 1])]
-    assert sizes == [128, 128]
-    assert [len(b) for b in streams.refill([0, 2])] == [512, 512]  # a call draws the largest size due
-    assert [len(b) for b in streams.refill([0])] == [1024]
-    assert [len(b) for b in streams.refill([0])] == [1024]  # the largest block
     check((8,), 0, 6, refills=6)
 
 
 def test_empty_range_and_no_rows():
     assert len(Streams((1,), 5, 5)) == 0
-    assert Streams((1,), 0, 3).refill([]) == []
+    assert Streams((1,), 0, 3).refill([], 128) == []
 
 
 @pytest.mark.parametrize("seed, lo", [((-1,), 0), ((3, -2), 0), ((3,), -1)])

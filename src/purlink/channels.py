@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Optional
 
 import numpy as np
 
@@ -138,7 +139,7 @@ def measure_branches(r: np.ndarray, pair: int, basis: str, p_m: float) -> np.nda
 # ---------------------------------------------------------------------------
 # Memory decoherence
 
-def decay_transfer(dts, noise: NoiseParams) -> np.ndarray:
+def decay_transfer(dts, noise: NoiseParams, memo: Optional[dict] = None) -> np.ndarray:
     """The one-qubit transfer matrix T of the memory channel for each duration, stacked.
 
     On a qubit's (I, X, Y, Z) axis,
@@ -146,19 +147,26 @@ def decay_transfer(dts, noise: NoiseParams) -> np.ndarray:
     c = sqrt(1-lam) (1-2 p_z), where lam and p_z are the damping_lambda and
     dephasing_pz of the Kraus oracle (tests/dense_oracle.py), inlined here
     term for term. They are computed lane by lane with math, so a lane's T
-    does not depend on its batch.
+    does not depend on its batch. memo, a dict the caller keeps for one
+    noise, holds (lam, c) for each duration met, so each distinct duration
+    is computed once; a negative duration raises ValueError and is never
+    kept.
     """
     t1, t2 = noise.t1, noise.t2
     damped, dephased = not math.isinf(t1), not math.isinf(t2)
     exp, sqrt = math.exp, math.sqrt
+    memo = {} if memo is None else memo
     lams, cs = [], []
     for dt in dts:
-        if dt < 0:
-            raise ValueError(f"negative duration {dt}")
-        lam = 1.0 - exp(-dt / t1) if damped else 0.0
-        p_z = 0.5 * (1.0 - exp(-(dt / t2 if dephased else 0.0) + (dt / (2.0 * t1) if damped else 0.0)))
-        lams.append(lam)
-        cs.append(sqrt(1.0 - lam) * (1.0 - 2.0 * p_z))
+        rates = memo.get(dt)
+        if rates is None:
+            if dt < 0:
+                raise ValueError(f"negative duration {dt}")
+            lam = 1.0 - exp(-dt / t1) if damped else 0.0
+            p_z = 0.5 * (1.0 - exp(-(dt / t2 if dephased else 0.0) + (dt / (2.0 * t1) if damped else 0.0)))
+            rates = memo[dt] = lam, sqrt(1.0 - lam) * (1.0 - 2.0 * p_z)
+        lams.append(rates[0])
+        cs.append(rates[1])
     t = np.zeros((len(lams), 16))
     t[:, 0] = 1.0
     t[:, 5] = t[:, 10] = cs
@@ -167,20 +175,23 @@ def decay_transfer(dts, noise: NoiseParams) -> np.ndarray:
     return t.reshape(-1, 4, 4)
 
 
-def decohere_lanes(r: np.ndarray, pair: int, dts: list, noise: NoiseParams) -> np.ndarray:
+def decohere_lanes(
+    r: np.ndarray, pair: int, dts: list, noise: NoiseParams, memo: Optional[dict] = None
+) -> np.ndarray:
     """Store pair `pair` of row i of r for dts[i] seconds: decay_transfer's T on both its axes.
 
     r holds one flat register per row. A zero duration leaves its row as it
     is, and a negative one raises ValueError. The other lanes take the same
     two stacked products whatever the batch, so no lane's result depends on it.
+    memo is passed to decay_transfer, which fills it.
     """
     busy = [j for j, dt in enumerate(dts) if dt != 0.0]
     if len(busy) < len(dts):
         if busy:
             r = r.copy()
-            r[busy] = decohere_lanes(r[busy], pair, [dts[j] for j in busy], noise)
+            r[busy] = decohere_lanes(r[busy], pair, [dts[j] for j in busy], noise, memo)
         return r
-    t = decay_transfer(dts, noise)
+    t = decay_transfer(dts, noise, memo)
     lanes, size = r.shape
     if size == 16:  # a lone pair: T R T^T
         return np.matmul(np.matmul(t, r.reshape(lanes, 4, 4)), t.transpose(0, 2, 1)).reshape(lanes, 16)

@@ -33,8 +33,9 @@ entry 0, or the entry after a step or measurement, to the next step,
 measurement or delivery, and equal runs share an id. Each lane is one
 generator that tells its trial in order (acquisition from prefetched
 uniforms, timing, restarts) and yields at the end of each run, and the
-lanes are grouped by the run id they yield. A group's state operations run
-once over its lanes: registers decohere through channels.decohere_lanes,
+lanes wait in groups by the run id they yield. The engine runs one group at
+a time, a delivery first, else the largest, and a group's state operations
+run once over its lanes: registers decohere through channels.decohere_lanes,
 are rotated and gated by purify.clifford_lanes and measured by
 channels.measure_branches; pumping steps run purify._pump_step, and
 channels.sample_branches draws the outcomes lane by lane. A lane draws its own uniforms in the order a lone
@@ -272,6 +273,25 @@ class _Generators(list):
         return [array("d", self[row].random(n).tobytes()) for row in rows]
 
 
+class _Rows:
+    """Rows that depend on a duration alone, each computed once, held in one (rows, 16) array.
+
+    make(dts) returns one row per duration, row by row, so a row does not
+    depend on the others made with it.
+    """
+
+    def __init__(self, make):
+        self.make, self.index, self.rows = make, {}, np.empty((0, 16))
+
+    def __call__(self, dts: list) -> np.ndarray:
+        index = self.index
+        new = [dt for dt in dict.fromkeys(dts) if dt not in index]
+        if new:
+            index.update(zip(new, range(len(self.rows), len(self.rows) + len(new))))
+            self.rows = np.concatenate([self.rows, self.make(new)])
+        return self.rows[[index[dt] for dt in dts]]
+
+
 class _Batch:
     """The registers of every lane of a batch, and its grouped state operations.
 
@@ -279,15 +299,22 @@ class _Batch:
     An op runs once per group of lanes: it decoheres each operand for its
     lane's duration, then steps, measures, gates or delivers through the
     stacked channels, so a lane's numbers do not depend on the batch. A
-    delivery writes its lanes' rows of delivered.
+    delivery writes its lanes' rows of delivered. What depends on a
+    duration alone is computed once per call: the memory channel's rates
+    (transfer, for decohere_lanes), the source pair stored for a duration
+    (source) and that pair rotated (rotated).
     """
 
     def __init__(self, noise: NoiseParams, werner: np.ndarray, kept: dict, lanes: int):
         self.noise = noise
-        self.werner = werner
         self.store = {key: np.empty((lanes, size)) for key, size in kept.items()}
         self.delivered = np.empty((lanes, 16))
         self.tables = _step_tables(self.noise.p_g, self.noise.p_m)
+        self.transfer = transfer = {}  # the makers below hold no self, so a batch is freed on return
+        self.source = source = _Rows(
+            lambda dts: decohere_lanes(np.tile(werner, (len(dts), 1)), 0, dts, noise, transfer)
+        )
+        self.rotated = _Rows(lambda dts: clifford_lanes(source(dts), "ROT", (0,), noise.p_g))
 
     def run(self, ops: tuple, ix: np.ndarray, dts: tuple, us: tuple):
         """Apply a run of ops to the lanes ix, dts[i][j] holding lane i's durations for op j.
@@ -297,15 +324,17 @@ class _Batch:
         """
         held: dict = {}
         for j, (code, loads, out, arg, positions) in enumerate(ops):
+            if code == _ROT and loads[0][2]:  # a fresh pair, rotated
+                held[out] = self.rotated([d[j][0] for d in dts])
+                continue
             regs: dict = {}  # in operand order
             for n, (key, pair, fresh) in enumerate(loads):
-                if key in regs:
-                    r = regs[key]
-                elif fresh:
-                    r = np.tile(self.werner, (len(ix), 1))
+                lane_dts = [d[j][n] for d in dts]
+                if fresh:
+                    regs[key] = self.source(lane_dts)
                 else:
-                    r = held.pop(key) if key in held else self.store[key][ix]
-                regs[key] = decohere_lanes(r, pair, [d[j][n] for d in dts], self.noise)
+                    r = regs[key] if key in regs else held.pop(key) if key in held else self.store[key][ix]
+                    regs[key] = decohere_lanes(r, pair, lane_dts, self.noise, self.transfer)
             rs = list(regs.values())
             if code == _DELIVER:
                 self.delivered[ix] = rs[0]
@@ -339,14 +368,16 @@ def _lockstep(
     done[row] = (completion time, pairs consumed, steps completed, restarts)
     and yields (run id, durations, None), its last yield; its group writes
     row `row` of delivered, (lanes, 16). Returns (done, delivered). The
-    lanes are grouped by run id, and each group runs once through _Batch.
-    A lane out of uniforms, as every lane is at its first draw, yields _DRY
-    and is sent its next block: the lanes that ran dry in a pass get theirs
-    from one source.refill(rows, n) at its end, n the largest block any of
-    them is due (_FIRST_BLOCK at first, then 4x its last, up to
-    _LAST_BLOCK). A lane takes its uniforms
-    in the order a lone trial would and its arithmetic lane by lane, so its
-    result is the same alone and in a batch of any size.
+    lanes wait in groups by run id. A lane out of uniforms, as every lane
+    is at its first draw, yields _DRY and is sent its next block: the
+    engine first serves every dry lane from one source.refill(rows, n), n
+    the largest block any of them is due (_FIRST_BLOCK at first, then 4x
+    its last, up to _LAST_BLOCK). Then it runs one group through _Batch:
+    the delivery group if lanes wait there, since a delivery frees its
+    lanes, else the group with the most lanes, while the others gather. A
+    lane takes its uniforms in the order a lone trial would and its
+    arithmetic lane by lane, so its result is the same alone, in a batch
+    of any size and whenever its group runs.
 
     Pairs take memory slots in arrival order; a slot frees at the
     measurement of the pair holding it, and under BASE a new pair is also
@@ -545,29 +576,29 @@ def _lockstep(
     done: list = [None] * len(logs)
     due = [_FIRST_BLOCK] * len(logs)  # the size of each lane's next block
     lanes = [trial(events, row) for row, events in enumerate(logs)]
-    groups = defaultdict(list)  # run id -> (row, durations, uniforms) of each lane that walked it
+    groups = defaultdict(list)  # run id -> (row, durations, uniforms) of each lane waiting at its end
     for row, lane in enumerate(lanes):
         ident, dts, u = next(lane)
         groups[ident].append((row, dts, u))
     while groups:
-        while None in groups:  # the lanes that ran dry this pass, served in one call
+        while None in groups:  # the dry lanes, served in one call
             rows = [row for row, _, _ in groups.pop(None)]
             n = max(due[row] for row in rows)
             for row, block in zip(rows, source.refill(rows, n)):
                 due[row] = min(4 * n, _LAST_BLOCK)
                 ident, dts, u = lanes[row].send(block)
                 groups[ident].append((row, dts, u))
-        current, groups = groups, defaultdict(list)
-        for ident, members in current.items():
-            rows, dts, us = zip(*members)
-            outcome = batch.run(run_ops[ident], np.array(rows), dts, us)
-            if outcome is None:  # delivered: the lanes are done
-                for row in rows:
-                    lanes[row] = None  # frees its uniforms and generator
-            else:
-                for row, a, b in zip(rows, *outcome):
-                    ident, dts, u = lanes[row].send((a, b))
-                    groups[ident].append((row, dts, u))
+        # one group: the delivery, which frees its lanes, else the largest
+        ident = max(groups, key=lambda ident: (run_ops[ident][-1][0] == _DELIVER, len(groups[ident])))
+        rows, dts, us = zip(*groups.pop(ident))
+        outcome = batch.run(run_ops[ident], np.array(rows), dts, us)
+        if outcome is None:  # delivered: the lanes are done
+            for row in rows:
+                lanes[row] = None  # frees its uniforms and generator
+        else:
+            for row, a, b in zip(rows, *outcome):
+                ident, dts, u = lanes[row].send((a, b))
+                groups[ident].append((row, dts, u))
     return done, batch.delivered
 
 

@@ -6,6 +6,7 @@ XSL-RR output (O'Neill, "PCG", HMC-CS-2014-0905); both run here in uint64
 arithmetic over arrays of trials. k steps take s to M^k s + C_k inc, C_k
 the sum of M^j for j < k (mod 2^128), which is s + C_k w, w = (M - 1) s +
 inc: one product per output, from a table of C_k, draws any lanes at once.
+A lane holds its current state s and its w.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ def _times(x_hi, x_lo, t: np.ndarray):
 
 
 def _seed(entropy: list) -> np.ndarray:
-    """Rows (p_hi, w_hi, p_lo, w_lo) seeded from entropy (int or per-lane words): p = inc + seed, state M p + inc."""
+    """Rows (s_hi, w_hi, s_lo, w_lo) seeded from entropy (int or per-lane words): s = M p + inc, p = inc + seed."""
     const, pool = _INIT_A, []
     for i in range(4):  # SeedSequence.mix_entropy
         word, const = _hash(entropy[i] if i < len(entropy) else 0, const, _MULT_A)
@@ -80,14 +81,16 @@ def _seed(entropy: list) -> np.ndarray:
     c_hi, c_lo = seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1  # inc = 2 seq + 1
     p_hi, p_lo = seed_hi + c_hi + (seed_lo + c_lo < c_lo), seed_lo + c_lo  # 128-bit sums carry from the low word
     w_hi, w_lo = _times(p_hi, p_lo, _columns([_PCG_MULT - 1]))
-    w_hi, w_lo = w_hi + c_hi + (w_lo + c_lo < c_lo), w_lo + c_lo  # w = (M - 1) p + inc
-    return np.concatenate([p_hi, w_hi, p_lo, w_lo], axis=1).T
+    w_hi, w_lo = w_hi + c_hi + (w_lo + c_lo < c_lo), w_lo + c_lo  # (M - 1) p + inc, so s = p + that
+    s_hi, s_lo = p_hi + w_hi + (p_lo + w_lo < w_lo), p_lo + w_lo
+    w_hi, w_lo = _times(w_hi, w_lo, _columns([_PCG_MULT]))  # w = (M - 1) s + inc, M times p's
+    return np.concatenate([s_hi, w_hi, s_lo, w_lo], axis=1).T
 
 
 @lru_cache(maxsize=None)
 def _table(n: int) -> np.ndarray:
-    """Words of C_2 .. C_{n + 1}, for n outputs, and of M^n, for the next w: (4, lanes of a pass, n + 1)."""
-    c, sums = 1, []
+    """Words of C_1 .. C_n, for n outputs, and of M^n, for the next w: (4, lanes of a pass, n + 1)."""
+    c, sums = 0, []
     for _ in range(n):
         c = (c * _PCG_MULT + 1) & _M128
         sums.append(c)
@@ -97,7 +100,7 @@ def _table(n: int) -> np.ndarray:
 class Streams:
     """The uniforms default_rng((*seed, i)).random() draws, for trial i = lo + j in lane j < hi - lo.
 
-    refill(rows, n) returns each listed lane's next n >= 2 uniforms, an
+    refill(rows, n) returns each listed lane's next n >= 1 uniforms, an
     array("d"), from one vectorized draw. A negative word raises ValueError,
     as in numpy.
     """
@@ -118,13 +121,13 @@ class Streams:
 
     def refill(self, rows: list, n: int) -> list:
         t, lanes, u = _table(n), self.lanes[:, :, rows], np.empty((len(rows), n + 1))
-        for j in range(0, len(rows), t.shape[1]):  # a pass: output k is from the state p + C_{k+1} w
-            (p_hi, w_hi), (p_lo, w_lo) = part = lanes[:, :, j:j + t.shape[1], None]
-            hi, lo = _times(w_hi, np.repeat(w_lo, n + 1, axis=1), t[:, :len(p_hi)])
+        for j in range(0, len(rows), t.shape[1]):  # a pass: output k is from the state s + C_{k+1} w
+            (s_hi, w_hi), (s_lo, w_lo) = part = lanes[:, :, j:j + t.shape[1], None]
+            hi, lo = _times(w_hi, np.repeat(w_lo, n + 1, axis=1), t[:, :len(s_hi)])
             part[:, 1] = hi[:, n:], lo[:, n:]  # the next w, M^n w
-            lo += p_lo
-            hi += p_hi + (lo < p_lo)  # the carry
-            part[:, 0] = hi[:, n - 2:n - 1], lo[:, n - 2:n - 1]  # the next p, the state before output n
+            lo += s_lo
+            hi += s_hi + (lo < s_lo)  # the carry
+            part[:, 0] = hi[:, n - 1:n], lo[:, n - 1:n]  # the next s, the state of output n - 1
             x = hi ^ lo  # XSL-RR: rotate right by the top 6 bits; numpy's shift by 64 gives 0
             rot = np.right_shift(hi, _S58, out=hi)
             y = x >> rot

@@ -19,6 +19,7 @@ from purlink.channels import (
     sample_branches,
     satellite_transmissivity,
 )
+from purlink.protocols import _Batch
 from purlink.purify import ROT_PAIR, _step_tables, clifford_lanes
 from purlink.states import fidelity, from_pauli, make_werner, to_pauli
 
@@ -483,6 +484,53 @@ def test_decohere_lanes_keeps_zero_duration_rows_and_refuses_negative_ones():
         for dts in ([0.1, -1.0, 0.2], [0.0, -1.0, 0.0]):
             with pytest.raises(ValueError):
                 decohere_lanes(r, 0, dts, noise)
+
+
+def test_a_shared_memo_gives_the_same_bits():
+    # decay_transfer and decohere_lanes with one memo over many calls, with
+    # durations new and repeated, return what they return without one
+    rng = np.random.default_rng(78)
+    w = to_pauli(make_werner(0.8))
+    reg = np.tile(np.multiply.outer(w, w).reshape(256), (6, 1))
+    for noise in (NoiseParams(t1=360.0, t2=0.01), NoiseParams(t1=math.inf, t2=1e-3), NoiseParams(t1=2.0, t2=3.0)):
+        memo, seen = {}, []
+        for _ in range(8):
+            dts = [float(dt) for dt in rng.exponential(0.02, 6)]
+            dts[1] = dts[4]
+            if seen:
+                dts[2:4] = rng.choice(seen, 2).tolist()
+            seen += dts
+            assert decay_transfer(dts, noise, memo).tobytes() == decay_transfer(dts, noise).tobytes()
+            for pair in (0, 1):
+                got = decohere_lanes(reg, pair, dts, noise, memo)
+                assert got.tobytes() == decohere_lanes(reg, pair, dts, noise).tobytes()
+        assert set(memo) == set(seen)
+
+
+def test_a_negative_duration_raises_beside_a_filled_memo():
+    memo = {}
+    decay_transfer([0.1, 0.2], NoiseParams(), memo)
+    for dts in ([-1e-9], [0.1, -1.0], [0.2, -0.5, 0.1]):
+        with pytest.raises(ValueError):
+            decay_transfer(dts, NoiseParams(), memo)
+        with pytest.raises(ValueError):
+            decohere_lanes(np.tile(to_pauli(make_werner(0.8)).reshape(16), (len(dts), 1)), 0, dts, NoiseParams(), memo)
+    assert set(memo) == {0.1, 0.2}
+
+
+def test_source_rows_keep_the_werner_row_at_zero_duration():
+    # the lockstep engine's stored source pair: the Werner row itself for a
+    # zero duration, bit for bit, and the memory channel's row otherwise
+    noise = NoiseParams(t2=0.5)
+    w = -to_pauli(make_werner(0.8)).reshape(16)  # -0.0 entries, which T's products would turn to 0.0
+    batch = _Batch(noise, w, {}, 0)
+    dts = [0.0, 0.2, 0.0, 0.2, 0.05]
+    want = decohere_lanes(np.tile(w, (len(dts), 1)), 0, dts, noise)
+    for _ in range(2):  # computed, then read back
+        rows = batch.source(dts)
+        assert rows[0].tobytes() == rows[2].tobytes() == w.tobytes()
+        assert rows.tobytes() == want.tobytes()
+        assert batch.rotated(dts).tobytes() == clifford_lanes(want, "ROT", (0,), noise.p_g).tobytes()
 
 
 def test_decohere_identity_at_zero():

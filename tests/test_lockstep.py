@@ -80,6 +80,25 @@ def test_lane_equals_lone_trial_in_any_batch(name, mbc):
                         assert same(res, alone[lo + i]), (*where, type(source).__name__, size, lo + i)
 
 
+def test_optimized5_batch_runs_the_largest_waiting_group_first(monkeypatch):
+    # optimized5's lanes drift apart over its five runs; running one group
+    # at a time, the largest, lets the others gather: this batch takes 37
+    # calls, against 72 when every waiting group ran on every pass
+    kind, scheme, link = ProtocolKind("BASE"), CircuitScheme(packaged_circuit("optimized5")), LINKS["lossy"]
+    calls = []
+    run = protocols._Batch.run
+
+    def counted(self, ops, ix, dts, us):
+        calls.append(len(ix))
+        return run(self, ops, ix, dts, us)
+
+    monkeypatch.setattr(protocols._Batch, "run", counted)
+    batch = run_trials(kind, scheme, link, NOISE, Streams((1,), 0, 100))
+    assert len(calls) <= 40, calls
+    for i, res in enumerate(batch):
+        assert same(res, run_trial(kind, scheme, link, NOISE, np.random.default_rng((1, i)))), i
+
+
 def test_one_lane_streams_trial_equals_its_generator_trial():
     # the CLI's traced trial draws a one-lane Streams at index 2^62, events and all
     link = LINKS["timed"]

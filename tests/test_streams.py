@@ -69,6 +69,15 @@ def test_refills_grow_and_each_lane_continues_its_own_stream():
     check((8,), 0, 6, refills=6)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_small_blocks_continue_each_stream(n):
+    # two successive refills of n uniforms each, n = 1 taking numpy's next uniform
+    streams, ref = Streams((9,), 0, 3), [np.random.default_rng((9, i)) for i in range(3)]
+    for _ in range(2):
+        for rng, block in zip(ref, streams.refill([0, 1, 2], n)):
+            assert len(block) == n and np.array_equal(np.array(block), rng.random(n))
+
+
 def test_empty_range_and_no_rows():
     assert len(Streams((1,), 5, 5)) == 0
     assert Streams((1,), 0, 3).refill([], 128) == []

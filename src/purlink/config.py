@@ -274,10 +274,10 @@ def check_delivery_bound(cfg: Config) -> None:
     and skips lost rounds in one draw. N and blindness are what
     protocols.plan runs for cfg's protocols and measure_before_confirm.
 
-    The engine counts time in source ticks, so MAX_DELIVERY_TICKS source
-    periods must be a finite time, and neither the photon delay nor the
-    herald delay nor a gate plus a measurement may span more periods; a
-    20 km herald at 1 GHz spans 1e5.
+    The engine counts time in integer ticks; this clock-fit check keeps its
+    fixed jumps and blind OPT's stride finite integers. MAX_DELIVERY_TICKS
+    periods must be finite and span the photon delay, the herald delay and
+    a gate plus a measurement; a 20 km herald at 1 GHz spans 1e5.
     """
     period, photon_delay, herald = link_delays(cfg.link)
     clock = MAX_DELIVERY_TICKS * period

@@ -76,7 +76,9 @@ from .streams import Streams
 
 PROTOCOL_NAMES = ("NOP", "BASE", "HOPT", "OPT")
 
-_TICK_EPS = 1e-9  # guard for float noise in tick index arithmetic
+# The one rule by which a time, x ticks, meets the integer tick grid: math.ceil(x * _TICK_SCALE - _TICK_EPS),
+# inline where used. It forgives 1e-9 of a tick plus 16 ulps of x, as float error grows with the tick index.
+_TICK_EPS, _TICK_SCALE = 1e-9, 1.0 - 2.0**-48
 
 
 @dataclass(frozen=True)
@@ -385,11 +387,11 @@ def _lockstep(
     a mismatch (without measure_before_confirm) or a filtered delivery
     (with it) restarts the episode from the moment it is known; OPT's first
     pair of an episode restarts in place, since the episode holds nothing
-    yet. A one-sided loss keeps the survivor's slot for `hold` seconds after
-    the lost tick's arrival, then retries: BASE and HOPT hold it until the
-    failure herald crosses; NOP reserves no partner slot (hold = 0.0), so
-    the retry is the next tick. plan picks the kind, the circuit and
-    whether the lanes acquire blind.
+    yet. The tick index is an integer; a one-sided loss moves it by a jump
+    fixed per call: BASE and HOPT retry once the failure herald crosses,
+    NOP on the next tick (it holds no partner slot), and OPT's first pair
+    after ceil((photon_delay + herald) / period) ticks. plan picks the
+    kind, the circuit and whether the lanes acquire blind.
 
     Blind OPT (measure_before_confirm on pumping) scans no source ticks:
     the shared source clock gives every tick a fixed role, round by round,
@@ -409,12 +411,13 @@ def _lockstep(
     p_photon = per_photon_survival(link)
     werner = to_pauli(make_werner(link.f0)).reshape(16)  # the source pair, flat
     lag = 0.0 if opt else herald  # the others use a pair once heralded
-    hold = None if opt else 0.0 if kind.name == "NOP" else herald
+    jump = 1 if kind.name == "NOP" else max(1, math.ceil(herald / period * _TICK_SCALE - _TICK_EPS))
+    if opt:  # a first pair restarts on the first tick emitted once its loss is heralded
+        jump = math.ceil((photon_delay + herald) / period * _TICK_SCALE - _TICK_EPS)
     gate_of = [link.gate_time if code == _STEP or code == _GATE else 0.0 for code, *_ in program]
     measure_of = [link.measure_time if code == _STEP or code == _MEASURE else 0.0 for code, *_ in program]
     if blind:
-        op_dur = link.gate_time + link.measure_time
-        stride = 1 if op_dur <= 0.0 else max(1, math.ceil(op_dur / period - _TICK_EPS))
+        stride = max(1, math.ceil((link.gate_time + link.measure_time) / period * _TICK_SCALE - _TICK_EPS))
         span = circ.num_pairs * stride  # ticks one round takes
         q_round = (p_photon * p_photon) ** circ.num_pairs  # every photon of a round survives
         log_lost = math.log1p(-q_round) if q_round < 1.0 else None
@@ -428,7 +431,7 @@ def _lockstep(
         round_next = 1  # blind OPT: the first tick of the next round
         ref = 0.0
         while True:  # an episode: memories empty at ref; usable and touched are written before use
-            k_last = max(0, math.ceil(ref / period - _TICK_EPS) - 1)  # before the first tick emitted at or after ref
+            k_last = max(0, math.ceil(ref / period * _TICK_SCALE - _TICK_EPS) - 1)  # the last tick before ref
             steps = 0
             slot_free = [0.0] * circ.max_live  # min-heap of slot release times
             last_arrival = t_local = 0.0
@@ -465,8 +468,8 @@ def _lockstep(
                             k = k_last + stride  # a stride after the previous pair's tick
                         t_local = a = k * period + photon_delay
                     else:
-                        k = math.ceil((floor - photon_delay) / period - _TICK_EPS)  # first arrival at or after floor
-                        if k <= k_last:
+                        k = math.ceil((floor - photon_delay) / period * _TICK_SCALE - _TICK_EPS)
+                        if k <= k_last:  # k is the first arrival at or after floor; ticks to k_last are read
                             k = k_last + 1
                         while True:  # the tick scan
                             while i >= end:
@@ -485,16 +488,13 @@ def _lockstep(
                                 loser = "B" if got_a else "A"
                                 _event(events, a, loser, "photon_lost", f"tick={k}")
                                 _message(events, a, a + herald, loser, "herald_fail")
-                            if hold is not None:
-                                k_hold = math.ceil((a + hold - photon_delay) / period - _TICK_EPS)
-                                k = k_hold if k_hold > k + 1 else k + 1
-                            elif pc == 0 and p == fresh[0]:
+                            if opt:
+                                if pc or p != fresh[0]:
+                                    ref = a + herald
+                                    break
                                 # OPT's first pair restarts in place; the slot floor 0.0 never binds
                                 restarts += 1
-                                k = max(1, math.ceil((a + herald) / period - _TICK_EPS))
-                            else:
-                                ref = a + herald
-                                break
+                            k += jump
                         if ref is not None:
                             break
                         a = k * period + photon_delay

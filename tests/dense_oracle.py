@@ -46,19 +46,22 @@ class QueuedU:
     """Stands in for an rng, returning preset uniforms in order.
 
     random(n) returns up to n of them, as the engine's prefetched blocks
-    accept; it raises once they run out, like random().
+    accept; it raises once they run out, like random(). It copies only the
+    values it returns, so a long loss pattern is served in linear time.
     """
 
     def __init__(self, *vals):
-        self._vals = list(vals)
+        self._vals, self._next = vals, 0
 
     def random(self, size=None):
-        if size is None:
-            return self._vals.pop(0)
-        if not self._vals:
+        i = self._next
+        if i >= len(self._vals):
             raise IndexError("no uniforms left")
-        block, self._vals = self._vals[:size], self._vals[size:]
-        return np.array(block)
+        if size is None:
+            self._next = i + 1
+            return self._vals[i]
+        self._next = min(i + size, len(self._vals))
+        return np.array(self._vals[i:self._next])
 
 
 def packaged_circuit(name: str) -> PurificationCircuit:

@@ -121,26 +121,74 @@ def test_one_sided_loss_holds_slot_only_for_heralded_purification():
     assert base.pairs_consumed == 1
 
 
-@pytest.mark.parametrize("d,herald_ticks,photon_ticks", [(20.0, 100_000, 50_000), (140.0, 700_000, 350_000)])
+LOST, KEPT = (0.0, 1.0 - 1e-12), (0.0, 0.0)  # ticks: one photon lost, both kept; outcomes: +1 -1, +1 +1
+
+
+@pytest.mark.parametrize(  # 20 and 100 km at 1 MHz, 20 and 140 km at 1 GHz
+    "d,herald_ticks,photon_ticks",
+    [(20.0, 100, 50), (100.0, 500, 250), (20.0, 100_000, 50_000), (140.0, 700_000, 350_000)],
+)
 def test_one_sided_loss_jump_is_constant_at_large_ticks(d, herald_ticks, photon_ticks):
-    # m one-sided losses, then a tick that keeps both photons; at 1 GHz the
-    # losses walk the tick index into the millions, where float rounding
-    # in the tick arithmetic could shift a jump by one
-    link = ground(d=d, mu=1e9)
-    m = 20
-    uniforms = (0.0, 1.0 - 1e-12) * m + (0.0, 0.0)
+    # m one-sided losses on an episode's first pair, then ticks that keep both
+    # photons. Past about 1e7 ticks the float error of k * period exceeds a
+    # fixed 1e-9 of a tick, so a jump derived from it would read one tick
+    # long. A first episode that stores two pairs and fails its step after a
+    # gate of `start` periods puts the losses past tick `start`: past 1e9 at
+    # 1 GHz. NOP runs no step, so its losses start at tick 1.
+    mu = herald_ticks * 2e5 / d  # light crosses d km of fiber in herald_ticks periods
+    m = 1000
     jumps = {
         NOP: 1,  # no partner slot is held: the next tick
         BASE: herald_ticks,  # the survivor's slot waits for the failure herald
         HOPT: herald_ticks,
         OPT: photon_ticks + herald_ticks,  # a first pair restarts once the loss is heralded
     }
-    for kind, jump in jumps.items():
+    for start in (3e7, 1e8, 1e9):
+        link = ground(d=d, mu=mu, gate_time=start / mu)
+        for kind, jump in jumps.items():
+            first_episode = () if kind is NOP else KEPT * 2 + LOST  # two pairs, then a mismatch
+            events = []
+            run_trial(kind, Pumping(1), link, NOISELESS, QueuedU(*first_episode, *LOST * m, *KEPT * 3), events=events)
+            ticks = [int(line.rpartition("tick=")[2]) for line in events if " photon_lost tick=" in line]
+            assert len(ticks) == m, kind
+            assert kind is NOP or ticks[0] > start, kind
+            assert {b - a for a, b in zip(ticks, ticks[1:])} == {jump}, (kind, start)
+
+
+# m one-sided losses on pair 0 walk a 1 GHz clock past 1e8 ticks (past 8e8 at
+# 140 km), where a time's quotient by the period carries float error far above
+# 1e-9 of a tick; the first tick at or after that time must still be exact
+LARGE_TICK_LINKS = pytest.mark.parametrize(
+    "d,herald_ticks,photon_ticks", [(20.0, 100_000, 50_000), (140.0, 700_000, 350_000)]
+)
+
+
+def stored_ticks(events, link):
+    period, photon_delay, _ = link_delays(link)
+    return [round((float(line.split()[0]) - photon_delay) / period) for line in events if " pair_stored " in line]
+
+
+@LARGE_TICK_LINKS
+def test_check_floor_meets_the_tick_grid_at_large_ticks(d, herald_ticks, photon_ticks):
+    # BASE holds pair 2 until step 1's outcomes are checked, two heralds after pair 1 arrives
+    link = ground(d=d, mu=1e9)
+    for m in range(0, 1200, 7):
         events = []
-        run_trial(kind, Pumping(0), link, NOISELESS, QueuedU(*uniforms), events=events)
-        ticks = [int(line.rpartition("tick=")[2]) for line in events if " photon_lost tick=" in line]
-        assert len(ticks) == m, kind
-        assert {b - a for a, b in zip(ticks, ticks[1:])} == {jump}, kind
+        run_trial(BASE, Pumping(2), link, NOISELESS, QueuedU(*LOST * m, *KEPT * 5), events=events)
+        _, pair1, pair2 = stored_ticks(events, link)
+        assert pair2 - pair1 == 2 * herald_ticks, m
+
+
+@LARGE_TICK_LINKS
+def test_episode_start_meets_the_tick_grid_at_large_ticks(d, herald_ticks, photon_ticks):
+    # OPT loses pair 1 mid-episode; the next episode's first pair lands on the
+    # first tick emitted once the loss is heralded
+    link = ground(d=d, mu=1e9)
+    for m in range(0, 1200, 7):
+        events = []
+        run_trial(OPT, Pumping(1), link, NOISELESS, QueuedU(*LOST * m, *KEPT, *LOST, *KEPT * 3), events=events)
+        lost = int([line for line in events if " photon_lost " in line][-1].rpartition("tick=")[2])
+        assert stored_ticks(events, link)[1] - lost == photon_ticks + herald_ticks, m
 
 
 def test_nop_monte_carlo_matches_closed_form():
